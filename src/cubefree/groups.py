@@ -13,7 +13,7 @@ layer L_{n+1} is {0}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 from .errors import RangeError
@@ -29,11 +29,12 @@ class GroupContext:
         if not isinstance(self.n, int) or self.n < 1:
             raise RangeError(f"group exponent must be an integer >= 1, got {self.n!r}")
 
-    @property
+    # cached in the instance dict (no __slots__); eq and hash still use n only
+    @cached_property
     def modulus(self) -> int:
         return 1 << self.n
 
-    @property
+    @cached_property
     def full_mask(self) -> int:
         return (1 << (1 << self.n)) - 1
 

@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, InapplicableCompressionError
-from .groups import residue_abs
+from .groups import mask_members, residue_abs
 
 DEFAULT_INSTANCE_BUDGET = 100_000_000
 _SUBSET_ENUM_LIMIT = 22  # collections above this size would need > 4M subset masks
@@ -171,52 +171,49 @@ class DisjointZeroCertificate:
         return True
 
 
-def _find_disjoint(masks_by_min: list[list[int]], used: int, start: int, need: int) -> list[int] | None:
-    if need == 0:
-        return []
-    for min_idx in range(start, len(masks_by_min)):
-        if used >> min_idx & 1:
-            continue
-        for m in masks_by_min[min_idx]:
-            if m & used:
-                continue
-            rest = _find_disjoint(masks_by_min, used | m, min_idx + 1, need - 1)
-            if rest is not None:
-                return [m] + rest
-    return None
+def _largest_disjoint_family(C: ResidueCollection) -> tuple[int, ...]:
+    """Index masks of a largest family of disjoint zero-sum parts, by lowest index.
+
+    Memoized DP, local to the call, on the mask R of free indices:
+    f(R) = max(f(R - min R), 1 + f(R - T)) over the zero-sum masks T inside R
+    whose lowest index is min R.  The memo keeps a largest family per R.
+    """
+    by_min: list[list[int]] = [[] for _ in C.elements]
+    for mask in _zero_sum_index_masks(C):
+        by_min[(mask & -mask).bit_length() - 1].append(mask)
+    memo: dict[int, tuple[int, ...]] = {0: ()}
+
+    def solve(free: int) -> tuple[int, ...]:
+        family = memo.get(free)
+        if family is None:
+            low = free & -free
+            family = solve(free ^ low)
+            for mask in by_min[low.bit_length() - 1]:
+                if mask & free == mask and len(rest := solve(free ^ mask)) >= len(family):
+                    family = (mask, *rest)
+            memo[free] = family
+        return family
+
+    return solve((1 << len(C.elements)) - 1)
 
 
 def disjoint_zero_sets(C: ResidueCollection, m: int) -> DisjointZeroCertificate | None:
     """m pairwise-disjoint nonempty zero-sum sub-collections, or None.
 
-    Exact depth-first search; parts are canonically ordered by smallest
-    contained index so symmetric rearrangements are explored once.
+    The first m parts, by smallest contained index, of a largest family found
+    by an exact memoized DP over the indices still free.
     """
     if m < 1:
         raise ValueError(f"part count must be positive, got {m}")
-    masks = _zero_sum_index_masks(C)
-    by_min: list[list[int]] = [[] for _ in range(len(C.elements))]
-    for mask in masks:
-        by_min[(mask & -mask).bit_length() - 1].append(mask)
-    chosen = _find_disjoint(by_min, 0, 0, m)
-    if chosen is None:
+    parts = _largest_disjoint_family(C)
+    if len(parts) < m:
         return None
-    parts = tuple(
-        frozenset(i for i in range(len(C.elements)) if mask >> i & 1) for mask in chosen
-    )
-    return DisjointZeroCertificate(parts)
+    return DisjointZeroCertificate(tuple(frozenset(mask_members(mask)) for mask in parts[:m]))
 
 
 def max_disjoint_zero_sets(C: ResidueCollection) -> int:
     """Largest m admitting m pairwise-disjoint zero-sum sub-collections."""
-    masks = _zero_sum_index_masks(C)
-    by_min: list[list[int]] = [[] for _ in range(len(C.elements))]
-    for mask in masks:
-        by_min[(mask & -mask).bit_length() - 1].append(mask)
-    best = 0
-    while _find_disjoint(by_min, 0, 0, best + 1) is not None:
-        best += 1
-    return best
+    return len(_largest_disjoint_family(C))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubefree.counting import (
     count_schur_triples,
@@ -43,6 +45,24 @@ def test_count_matches_naive_sampled(rng):
     for _ in range(200):
         A = ResidueSet(ctx, rng.getrandbits(64))
         assert count_schur_triples(A) == naive_schur(A)
+
+
+def test_count_matches_naive_at_the_wrap():
+    for n in range(1, 8):
+        ctx = GroupContext(n)
+        top = ctx.modulus - 1
+        for members in ([], [0], [top], [0, top], [1, top], range(ctx.modulus)):
+            A = ResidueSet.from_members(ctx, members)
+            assert count_schur_triples(A) == naive_schur(A)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))))
+def test_count_matches_naive_property(case):
+    n, mask = case
+    A = ResidueSet(GroupContext(n), mask)
+    assert count_schur_triples(A) == naive_schur(A)
 
 
 def test_layer_profile(ctx3):

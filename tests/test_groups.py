@@ -150,6 +150,15 @@ def test_residue_set_context_mismatch(ctx3, ctx4):
         ResidueSet.full(ctx3) | ResidueSet.full(ctx4)
 
 
+def test_group_context_cached_properties_keep_identity():
+    ctx = GroupContext(5)
+    assert (ctx.modulus, ctx.full_mask) == (32, (1 << 32) - 1)
+    fresh = GroupContext(5)
+    assert ctx == fresh and hash(ctx) == hash(fresh)
+    assert {ctx: 1}[fresh] == 1
+    assert ctx != GroupContext(6)
+
+
 def test_group_context_validation():
     with pytest.raises(RangeError):
         GroupContext(0)

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubefree.errors import CapacityError, InapplicableCompressionError
 from cubefree.oracle import (
@@ -14,6 +16,40 @@ from cubefree.oracle import (
     verify_zero_sum_dichotomy,
     zero_sum_subset,
 )
+
+
+def _dfs_disjoint(masks_by_min, used, start, need):
+    """Depth-first search for ``need`` disjoint masks, parts ordered by lowest index."""
+    if need == 0:
+        return []
+    for min_idx in range(start, len(masks_by_min)):
+        if used >> min_idx & 1:
+            continue
+        for m in masks_by_min[min_idx]:
+            if m & used:
+                continue
+            rest = _dfs_disjoint(masks_by_min, used | m, min_idx + 1, need - 1)
+            if rest is not None:
+                return [m] + rest
+    return None
+
+
+def reference_max_disjoint(C):
+    """Brute-force reference: every zero-sum index mask, then a DFS per count."""
+    s = len(C.elements)
+    by_min = [[] for _ in range(s)]
+    for mask in range(1, 1 << s):
+        if sum(C.elements[i] for i in range(s) if mask >> i & 1) % C.modulus == 0:
+            by_min[(mask & -mask).bit_length() - 1].append(mask)
+    best = 0
+    while _dfs_disjoint(by_min, 0, 0, best + 1) is not None:
+        best += 1
+    return best
+
+
+collections = st.integers(1, 3).flatmap(
+    lambda k: st.lists(st.integers(1, (1 << (k + 1)) - 1), max_size=12).map(
+        lambda xs: ResidueCollection.of(k, xs)))
 
 
 def test_zero_sum_subset_examples():
@@ -66,6 +102,17 @@ def test_disjoint_zero_sets_unit_pairing():
     cert = disjoint_zero_sets(c, 7)
     assert cert is not None and cert.verify(c)
     assert max_disjoint_zero_sets(c) == 7
+
+
+@settings(max_examples=150, deadline=None)
+@given(collections)
+def test_disjoint_zero_parts_match_reference(C):
+    best = max_disjoint_zero_sets(C)
+    assert best == reference_max_disjoint(C)
+    for m in range(1, best + 1):
+        cert = disjoint_zero_sets(C, m)
+        assert cert is not None and len(cert.parts) == m and cert.verify(C)
+    assert disjoint_zero_sets(C, best + 1) is None
 
 
 def test_dichotomy_instances():
