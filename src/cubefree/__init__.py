@@ -7,7 +7,6 @@ from .construction import (
     construction_size,
     floor_log2,
     layered_construction,
-    recursive_construction,
     reduce_dimension,
 )
 from .counting import (
@@ -32,7 +31,6 @@ from .groups import (
     GeneratorMultiset,
     GroupContext,
     ResidueSet,
-    SignedResidue,
     anti_centred_set,
     centred_set,
     layer_of,

@@ -66,6 +66,9 @@ def _parse_set(spec: str, ctx: GroupContext) -> ResidueSet:
         members = json.loads(path.read_text())
         if not isinstance(members, list):
             raise ValueError(f"{spec}: expected a JSON array of residues")
+        for x in members:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise ValueError(f"{spec}: residues must be integers, got {x!r}")
     else:
         members = [int(tok) for tok in spec.split(",") if tok.strip()]
     return ResidueSet.from_members(ctx, members)

@@ -113,25 +113,3 @@ def construction_size(d: int, ctx: GroupContext) -> int:
     """Cardinality of the construction for d inside Z_{2^n}."""
     return len(layered_construction(d, ctx))
 
-
-def recursive_construction(d: int, ctx: GroupContext) -> ResidueSet:
-    """Literal recursive form: first layers plus a scaled-down embedded copy.
-
-    Used to cross-check the block-vector rebuild; both must agree exactly.
-    """
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
-    if d == 1:
-        return ResidueSet.empty(ctx)
-    ell = floor_log2(d)
-    base = layer_range_set(1, min(ell, ctx.n), ctx)
-    if ell > ctx.n:
-        raise CapacityError(f"construction for d={d} does not fit in n={ctx.n}")
-    inner_d = d - (1 << ell) + 1
-    if inner_d == 1:
-        return base
-    if ctx.n <= ell + 1:
-        raise CapacityError(f"construction for d={d} does not fit in n={ctx.n}")
-    inner = recursive_construction(inner_d, GroupContext(ctx.n - ell - 1))
-    embedded = ResidueSet.from_members(ctx, ((x << (ell + 1)) for x in inner.members()))
-    return base | embedded

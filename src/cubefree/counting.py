@@ -4,7 +4,7 @@ ST(A) counts ordered triples (x, y, z) in A^3 with x + y = z; (x, y, z) and
 (y, x, z) are distinct when x != y, and x = y is allowed.  The count is
 computed per first coordinate x as |A & (A - x)|, each A - x read off the
 doubled mask A | A << 2^n by a right shift; the naive triple loop is kept
-in the verification harness as the test oracle.
+in ``tests/test_counting.py`` as the test oracle.
 
 A Schur triple never has its three members in three distinct layers, and
 never all three in one layer -- with the single exception of (0, 0, 0),
@@ -43,10 +43,6 @@ class LayerProfile:
 
     def size_of(self, a: int) -> int:
         return self.sizes[a - 1]
-
-    def suffix(self, a: int) -> int:
-        """|S & (L_{a+1} | ... | L_{n+1})|."""
-        return sum(self.sizes[a:])
 
     @property
     def top_layer(self) -> int:
@@ -111,10 +107,6 @@ def count_triples_by_layer(A: ResidueSet) -> dict[int, LayerTripleCounts]:
     return result
 
 
-def decomposition_total(table: dict[int, LayerTripleCounts]) -> int:
-    return sum(c.total for c in table.values())
-
-
 def schur_lower_bound(profile: LayerProfile, ctx: GroupContext) -> int:
     """The profile-only lower bound on ST: it never exceeds the true count.
 
@@ -124,9 +116,10 @@ def schur_lower_bound(profile: LayerProfile, ctx: GroupContext) -> int:
     if profile.n != ctx.n:
         raise ValueError("profile does not match the group")
     total = 0
-    for a in range(1, ctx.n + 1):
+    s_plus = profile.size_of(ctx.n + 1)  # |S_{a+}| = |S & (L_{a+1} | ... | L_{n+1})|
+    for a in range(ctx.n, 0, -1):
         layer_size = 1 << (ctx.n - a)
         sa = profile.size_of(a)
-        s_plus = profile.suffix(a)
         total += max(sa * (s_plus - layer_size + sa), s_plus * (2 * sa - layer_size), 0)
+        s_plus += sa
     return 3 * total

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .groups import GeneratorMultiset, ResidueSet, _layer_mask, shift_mask
+from .groups import GeneratorMultiset, ResidueSet, _layer_mask, scale_mask, shift_mask
 from .sumsets import projective_cube
 
 
@@ -60,17 +60,12 @@ class CubeWitness:
         return cls(generators, cube)
 
 
-@lru_cache(maxsize=None)
-def _odd_mask(n: int) -> int:
-    return _layer_mask(n, 1)
-
-
 def _normalize(mask: int, n: int) -> tuple[int, int]:
     """Halve all-even sets and scale the smallest odd element to 1.
 
     Requires a nonzero mask without bit 0.  Both steps preserve maxdim.
     """
-    while not mask & _odd_mask(n):
+    while not mask & _layer_mask(n, 1):
         halved = 0
         rest = mask
         while rest:
@@ -79,18 +74,11 @@ def _normalize(mask: int, n: int) -> tuple[int, int]:
             halved |= 1 << ((low.bit_length() - 1) >> 1)
         mask = halved
         n -= 1
-    odd_bits = mask & _odd_mask(n)
+    odd_bits = mask & _layer_mask(n, 1)
     o = (odd_bits & -odd_bits).bit_length() - 1
     if o != 1:
         size = 1 << n
-        lam = pow(o, -1, size)
-        scaled = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            scaled |= 1 << (lam * (low.bit_length() - 1) % size)
-        mask = scaled
+        mask = scale_mask(mask, pow(o, -1, size), size)
     return mask, n
 
 
@@ -127,8 +115,8 @@ def _maxdim(mask: int, n: int, cap: int) -> int:
         return exact if exact < cap else cap
     if _atleast.get(key, 0) >= cap:
         return cap
-    size = 1 << n
-    full = (1 << size) - 1
+    # bit y of doubled >> g, for y < 2^n, is set iff y + g (mod 2^n) lies in D
+    doubled = mask | mask << (1 << n)
     best = 1
     seen = {0}
     rest = mask
@@ -137,7 +125,7 @@ def _maxdim(mask: int, n: int, cap: int) -> int:
         g = low.bit_length() - 1
         rest ^= low
         # D & (D - g): the candidate set after adopting the generator g
-        child = mask & (((mask << (size - g)) | (mask >> g)) & full)
+        child = mask & (doubled >> g)
         if child in seen:
             continue
         seen.add(child)
@@ -170,14 +158,12 @@ def max_cube_dimension(A: ResidueSet, cap: int, scale_invariant: bool = False) -
         return 0
     if mask & 1:
         return cap
-    size = 1 << n
-    full = (1 << size) - 1
+    doubled = mask | mask << (1 << n)
     best = 0
     for i in range(1, n + 1):
         if not mask & _layer_mask(n, i):
             continue
-        g = 1 << (i - 1)
-        child = mask & (((mask << (size - g)) | (mask >> g)) & full)
+        child = mask & (doubled >> (1 << (i - 1)))
         sub = _maxdim(child, n, cap - 1)
         if 1 + sub > best:
             best = 1 + sub
@@ -210,22 +196,18 @@ def find_cube(A: ResidueSet, d: int) -> CubeWitness | None:
         return CubeWitness.build(GeneratorMultiset.of(ctx, (0,) * d), A)
     n = ctx.n
     size = ctx.modulus
-    full = ctx.full_mask
     prefix: list[int] = []
 
     def rec(D: int, need: int) -> bool:
         if need == 0:
             return True
-        cand = D
-        if prefix:
-            cand &= full ^ ((1 << prefix[-1]) - 1)  # keep the tuple non-decreasing
-        rest = cand
+        doubled = D | D << size
+        rest = D >> prefix[-1] << prefix[-1] if prefix else D  # keep the tuple non-decreasing
         while rest:
             low = rest & -rest
             g = low.bit_length() - 1
             rest ^= low
-            c = size - g
-            child = D & (((D << c) | (D >> g)) & full)
+            child = D & (doubled >> g)
             if _maxdim(child, n, need - 1) >= need - 1:
                 prefix.append(g)
                 if rec(child, need - 1):

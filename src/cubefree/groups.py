@@ -5,6 +5,12 @@ the interface boundary.  Sets of residues are stored as bit masks (bit x is
 set iff residue x belongs to the set), which keeps the shift/union/
 intersection primitives used by the exhaustive checks cheap.
 
+The mask kernels live here and nowhere else: ``shift_mask`` (the translate
+A + c), ``subset_sums`` (the fold behind iterated sumsets and half-sum
+tests) and ``scale_mask`` (the dilate lam * A, odd scaling in particular).
+Detection and counting read each translate A - x off the doubled mask
+A | A << 2^n with one right shift instead.
+
 The i'th layer L_i (1 <= i <= n) consists of the residues congruent to
 2^(i-1) modulo 2^i, i.e. the residues of 2-adic valuation i-1; the extra
 layer L_{n+1} is {0}.
@@ -49,6 +55,25 @@ def shift_mask(mask: int, c: int, ctx: GroupContext) -> int:
     if c == 0:
         return mask
     return ((mask << c) | (mask >> (size - c))) & ctx.full_mask
+
+
+def subset_sums(elements: Iterable[int], size: int) -> int:
+    """Bit mask of all subset sums of residues in [0, size), the empty sum included."""
+    full = (1 << size) - 1
+    reach = 1
+    for a in elements:
+        reach |= ((reach << a) | (reach >> (size - a))) & full
+    return reach
+
+
+def scale_mask(mask: int, lam: int, size: int) -> int:
+    """Bit mask of {lam * x mod size : x in mask} (any integer lam)."""
+    scaled = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        scaled |= 1 << (lam * (low.bit_length() - 1) % size)
+    return scaled
 
 
 def mask_members(mask: int) -> Iterator[int]:
@@ -127,11 +152,7 @@ class ResidueSet:
 
     def scaled(self, lam: int) -> "ResidueSet":
         """The dilate {lam * x : x in self} (any integer lam)."""
-        size = self.ctx.modulus
-        mask = 0
-        for x in mask_members(self.mask):
-            mask |= 1 << (lam * x % size)
-        return ResidueSet(self.ctx, mask)
+        return ResidueSet(self.ctx, scale_mask(self.mask, lam, self.ctx.modulus))
 
     def issubset(self, other: "ResidueSet") -> bool:
         self._check_ctx(other)
@@ -257,19 +278,3 @@ def residue_abs(t: int, k: int) -> int:
     if not 0 <= t < modulus:
         raise RangeError(f"residue {t} outside [0, {modulus - 1}]")
     return min(t, modulus - t)
-
-
-@dataclass(frozen=True)
-class SignedResidue:
-    """A residue modulo 2^(k+1) together with its minimal absolute value."""
-
-    t: int
-    k: int
-
-    @property
-    def abs(self) -> int:
-        return residue_abs(self.t, self.k)
-
-    @property
-    def modulus(self) -> int:
-        return 1 << (self.k + 1)

@@ -23,7 +23,7 @@ from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, InapplicableCompressionError
-from .groups import mask_members, residue_abs
+from .groups import mask_members, residue_abs, subset_sums
 
 DEFAULT_INSTANCE_BUDGET = 100_000_000
 _SUBSET_ENUM_LIMIT = 22  # collections above this size would need > 4M subset masks
@@ -81,12 +81,7 @@ class ResidueCollection:
 
     def sumset_mask(self) -> int:
         """Bit mask of all subset sums (the empty sum included)."""
-        size = self.modulus
-        full = (1 << size) - 1
-        reach = 1
-        for v in self.elements:
-            reach |= ((reach << v) | (reach >> (size - v))) & full
-        return reach
+        return subset_sums(self.elements, self.modulus)
 
 
 def zero_sum_subset(xs: Sequence[int], m: int) -> frozenset[int]:
@@ -273,34 +268,18 @@ def verify_zero_sum_dichotomy(k: int, x: int, budget: int = DEFAULT_INSTANCE_BUD
         raise CapacityError(
             f"{space} multisets exceed the budget of {budget}", space_size=space
         )
-    full = (1 << size) - 1
     target_bit = 1 << (1 << k)
     start = time.perf_counter()
     checked = 0
     half_sums = 0
     zero_parts = 0
     counterexamples = []
-    need_parts = x + 1
     for combo in combinations_with_replacement(range(1, size), count):
         checked += 1
-        reach = 1
-        for v in combo:
-            reach |= ((reach << v) | (reach >> (size - v))) & full
-        if reach & target_bit:
+        if subset_sums(combo, size) & target_bit:
             half_sums += 1
             continue
-        if need_parts == 1:
-            # nonempty-subset-sum fold: bit 0 set iff a zero-sum part exists
-            fold = 0
-            for v in combo:
-                fold |= (((fold << v) | (fold >> (size - v))) & full) | (1 << v)
-            if fold & 1:
-                zero_parts += 1
-            else:
-                counterexamples.append(combo)
-            continue
-        C = ResidueCollection(k, combo)
-        if disjoint_zero_sets(C, need_parts) is not None:
+        if disjoint_zero_sets(ResidueCollection(k, combo), x + 1) is not None:
             zero_parts += 1
         else:
             counterexamples.append(combo)

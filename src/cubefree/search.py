@@ -451,22 +451,32 @@ def export_cnf(ctx: GroupContext, d: int, target: int, patterns: str = "all",
 
 
 def parse_assignment(text: str) -> dict[int, float]:
-    """Parse whitespace-separated variable-value lines ('x12 1' or '12 1')."""
+    """Parse solver output into a residue -> value map.
+
+    'x12 1' and '12 1' give residue 12 the value 1.  DIMACS 'v' lines list
+    literals of 1-based variables: variable v is residue v - 1, as in
+    ``export_cnf``, so counter variables land past 2^n - 1 and are ignored by
+    the validator.  'c' and 's' lines, '#' and '\\' comments and blank lines
+    are skipped; any other line raises ValueError.
+    """
     out: dict[int, float] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith("\\"):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split()
+        if not parts or parts[0] in ("c", "s") or parts[0][0] in "#\\":
             continue
-        parts = line.split()
-        if len(parts) != 2:
-            continue
-        name, value = parts
-        if name.startswith("x"):
-            name = name[1:]
         try:
-            out[int(name)] = float(value)
+            if parts[0] == "v":
+                for lit in map(int, parts[1:]):
+                    if lit:
+                        out[abs(lit) - 1] = 1.0 if lit > 0 else 0.0
+                continue
+            name, value = parts
+            out[int(name.removeprefix("x"))] = float(value)
         except ValueError:
-            continue
+            raise ValueError(
+                f"assignment line {lineno} is not 'x<residue> <value>', "
+                f"'<residue> <value>' or a DIMACS 'v' line: {raw.strip()!r}"
+            ) from None
     return out
 
 

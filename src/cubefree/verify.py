@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
 
 from . import construction, counting, detection, oracle, search
-from .groups import GroupContext, ResidueSet, centred_set, layer_range_set
+from .groups import GroupContext, ResidueSet, centred_set, layer_range_set, subset_sums
 from .sumsets import cube_mask
 
 DEFAULT_SEED = 20260810
@@ -64,13 +64,6 @@ def _naive_contains_cube(A: ResidueSet, d: int) -> bool:
         if cube_mask(gens, ctx) & ~amask == 0:
             return True
     return False
-
-
-def _naive_schur_triples(A: ResidueSet) -> int:
-    """Test oracle: direct loop over ordered pairs."""
-    members = A.members()
-    size = A.ctx.modulus
-    return sum(1 for x in members for y in members if (x + y) % size in A)
 
 
 def check_construction_table(level: str, rng: random.Random) -> CheckResult:
@@ -253,15 +246,11 @@ def check_full_collection_half_sum(level: str, rng: random.Random) -> CheckResul
     failures = []
     k = 2
     size = 1 << (k + 1)
-    full = (1 << size) - 1
     target = 1 << (1 << k)
     checked = 0
     for combo in combinations_with_replacement(range(1, size), size - 1):
         checked += 1
-        reach = 1
-        for v in combo:
-            reach |= ((reach << v) | (reach >> (size - v))) & full
-        if not reach & target:
+        if not subset_sums(combo, size) & target:
             failures.append(f"collection {combo}")
     return _result("full_collection_half_sum", start, failures,
                    f"{checked} collections of size 2^(k+1)-1 at k=2 all reach the half sum")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cubefree import cli
 
 
@@ -62,6 +64,29 @@ def test_max_search_modes(tmp_path):
     code, report = run_cli("max-search", "--n", "3", "--d", "2", "--mode", "validate",
                            "--solution", str(sol))
     assert code == 0 and report.result["feasible"] and report.result["objective"] == 4
+
+
+def test_validate_reads_dimacs_solver_output(tmp_path):
+    sol = tmp_path / "solver.out"
+    sol.write_text("s SATISFIABLE\nv 1 -2 3 -4 5 0\n")
+    code, report = run_cli("max-search", "--n", "3", "--d", "3", "--mode", "validate",
+                           "--solution", str(sol))
+    assert code == 0
+    assert report.result["selected"] == [0, 2, 4] and not report.result["feasible"]
+    sol.write_text("v 1 -2 0\ngarbage here now\n")
+    code, report = run_cli("max-search", "--n", "3", "--d", "3", "--mode", "validate",
+                           "--solution", str(sol))
+    assert code == 2 and report is None
+
+
+@pytest.mark.parametrize("content", ['[1, "a", 3]', "[1, true, 3]", "[1, 2.0]",
+                                     "[1, null]", "[[1]]", '{"set": [1]}', "[1, 2"])
+def test_json_set_rejects_non_integers(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    code, report = run_cli("find-cube", "--set", str(path), "--n", "3", "--d", "2")
+    assert code == 2 and report is None
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_usage_errors():

@@ -6,11 +6,31 @@ from cubefree.construction import (
     construction_size,
     floor_log2,
     layered_construction,
-    recursive_construction,
     reduce_dimension,
 )
 from cubefree.errors import CapacityError
-from cubefree.groups import GroupContext, layer_range_set, layer_set
+from cubefree.groups import GroupContext, ResidueSet, layer_range_set, layer_set
+
+
+def recursive_construction(d, ctx):
+    """Literal recursive form: first layers plus a scaled-down embedded copy.
+
+    The reference the block-vector rebuild is checked against.
+    """
+    if d == 1:
+        return ResidueSet.empty(ctx)
+    ell = floor_log2(d)
+    base = layer_range_set(1, min(ell, ctx.n), ctx)
+    if ell > ctx.n:
+        raise CapacityError(f"construction for d={d} does not fit in n={ctx.n}")
+    inner_d = d - (1 << ell) + 1
+    if inner_d == 1:
+        return base
+    if ctx.n <= ell + 1:
+        raise CapacityError(f"construction for d={d} does not fit in n={ctx.n}")
+    inner = recursive_construction(inner_d, GroupContext(ctx.n - ell - 1))
+    embedded = ResidueSet.from_members(ctx, ((x << (ell + 1)) for x in inner.members()))
+    return base | embedded
 
 
 def test_floor_log2():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from cubefree.counting import (
     count_schur_triples,
     count_triples_by_layer,
-    decomposition_total,
     layer_profile,
     schur_lower_bound,
 )
@@ -68,7 +67,6 @@ def test_count_matches_naive_property(case):
 def test_layer_profile(ctx3):
     p = layer_profile(centred_set(5, ctx3))
     assert p.sizes == (4, 1, 0, 0)
-    assert p.suffix(1) == 1 and p.suffix(2) == 0
     assert p.top_layer == 2
     assert layer_profile(ResidueSet.full(ctx3)).sizes == (4, 2, 1, 1)
     assert layer_profile(ResidueSet.empty(ctx3)).sizes == (0, 0, 0, 0)
@@ -86,7 +84,7 @@ def test_triples_by_layer_example(ctx3):
 def test_triple_decomposition_misses_only_zero_triple(ctx3):
     zero_only = ResidueSet.from_members(ctx3, [0])
     assert count_schur_triples(zero_only) == 1
-    assert decomposition_total(count_triples_by_layer(zero_only)) == 0
+    assert sum(c.total for c in count_triples_by_layer(zero_only).values()) == 0
 
 
 def test_decomposition_identity_exhaustive():
@@ -94,7 +92,7 @@ def test_decomposition_identity_exhaustive():
         ctx = GroupContext(n)
         for mask in range(0, 1 << ctx.modulus, 2):  # even masks exclude residue 0
             A = ResidueSet(ctx, mask)
-            assert decomposition_total(count_triples_by_layer(A)) == \
+            assert sum(c.total for c in count_triples_by_layer(A).values()) == \
                 count_schur_triples(A)
 
 
@@ -120,6 +118,25 @@ def test_lower_bound_exhaustive_n3(ctx3):
     for mask in range(256):
         A = ResidueSet(ctx3, mask)
         assert count_schur_triples(A) >= schur_lower_bound(layer_profile(A), ctx3)
+
+
+def naive_lower_bound(p, n):
+    """The profile bound with each |S_{a+}| summed afresh per layer."""
+    total = 0
+    for a in range(1, n + 1):
+        sa, s_plus, layer_size = p.sizes[a - 1], sum(p.sizes[a:]), 1 << (n - a)
+        total += max(sa * (s_plus - layer_size + sa), s_plus * (2 * sa - layer_size), 0)
+    return 3 * total
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))))
+def test_lower_bound_matches_per_layer_sums(case):
+    n, mask = case
+    ctx = GroupContext(n)
+    p = layer_profile(ResidueSet(ctx, mask))
+    assert schur_lower_bound(p, ctx) == naive_lower_bound(p, n)
 
 
 def test_minimum_at_centred_n3(ctx3):

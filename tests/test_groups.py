@@ -1,18 +1,23 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cubefree.errors import RangeError
 from cubefree.groups import (
     GeneratorMultiset,
     GroupContext,
     ResidueSet,
-    SignedResidue,
     anti_centred_set,
     centred_set,
     layer_of,
     layer_range_set,
     layer_set,
     residue_abs,
+    scale_mask,
     scale_multiset,
+    subset_sums,
 )
 
 
@@ -129,7 +134,6 @@ def test_residue_abs():
     assert residue_abs(0, 2) == 0
     with pytest.raises(RangeError):
         residue_abs(8, 2)
-    assert SignedResidue(7, 2).abs == 1
 
 
 def test_residue_set_operations(ctx3):
@@ -162,3 +166,39 @@ def test_group_context_cached_properties_keep_identity():
 def test_group_context_validation():
     with pytest.raises(RangeError):
         GroupContext(0)
+
+
+def naive_subset_sums(elements, size):
+    """Sums of every index subset, the empty one included."""
+    mask = 0
+    for r in range(len(elements) + 1):
+        for idx in combinations(range(len(elements)), r):
+            mask |= 1 << (sum(elements[i] for i in idx) % size)
+    return mask
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(2, 32).flatmap(
+    lambda size: st.tuples(st.just(size),
+                           st.lists(st.integers(0, size - 1), max_size=8))))
+@example((2, []))
+@example((8, [0, 0, 3]))
+@example((16, [5, 5, 5, 5, 5, 5, 5, 5]))
+@example((32, [31, 0, 31, 16, 16]))
+def test_subset_sums_matches_enumeration(case):
+    size, elements = case
+    assert subset_sums(elements, size) == naive_subset_sums(elements, size)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1),
+                        st.integers(-300, 300))))
+@example((3, 0b10110110, 2))
+@example((5, (1 << 32) - 1, 0))
+@example((7, 1 << 127, 3))
+def test_scale_mask_matches_comprehension(case):
+    n, mask, lam = case
+    size = 1 << n
+    expected = {lam * x % size for x in range(size) if mask >> x & 1}
+    assert scale_mask(mask, lam, size) == sum(1 << y for y in expected)

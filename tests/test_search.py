@@ -272,6 +272,31 @@ def test_parse_and_validate_assignment():
     assert not bad["feasible"]
 
 
+def test_dimacs_v_lines_are_one_based():
+    ctx = GroupContext(3)
+    text = "c solver\ns SATISFIABLE\nv 1 -2 3 -4 5\nv -6 7 -8 9 -10 0\n"
+    assert parse_assignment(text) == {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 1.0,
+                                      5: 0.0, 6: 1.0, 7: 0.0, 8: 1.0, 9: 0.0}
+    # variables 9 and 10 are counter variables past residue 7
+    report = validate_assignment(ctx, 3, "v 1 -2 3 -4 5 0\n")
+    assert report["selected"] == [0, 2, 4] and report["objective"] == 3
+    assert not report["feasible"]  # residue 0 is a 3-cube on its own
+    # the export's own model: residue v is variable v + 1
+    model = export_cnf(ctx, 3, 5)
+    assert "c residue v <-> variable v+1" in model
+    witness = [1, 3, 4, 5, 7]  # L_1 | L_3, the layered construction for d = 3
+    line = "v " + " ".join(str(v + 1 if v in witness else -(v + 1)) for v in range(8)) + " 0"
+    report = validate_assignment(ctx, 3, line)
+    assert report["selected"] == witness and report["feasible"]
+
+
+@pytest.mark.parametrize("line", ["v 1 two 0", "x3", "x3 1 extra", "cube0 1", "y4 1",
+                                  "x 1", "3 yes"])
+def test_parse_assignment_rejects_unknown_lines(line):
+    with pytest.raises(ValueError, match="line 2"):
+        parse_assignment("x1 1\n" + line + "\n")
+
+
 def test_constraint_masks_are_minimal_and_complete():
     ctx = GroupContext(3)
     masks = cube_constraint_masks(ctx, 2)
