@@ -293,6 +293,9 @@ def run(argv: list[str] | None = None) -> tuple[int, RunReport | None]:
     except (RangeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, None
+    except MemoryError:
+        print(f"error: {args.command} ran out of memory", file=sys.stderr)
+        return 2, None
     report = RunReport(args.command, parameters, result, status,
                        (time.perf_counter() - start) * 1000.0)
     exit_code = 0 if status == STATUS_OK else 1
@@ -302,7 +305,11 @@ def run(argv: list[str] | None = None) -> tuple[int, RunReport | None]:
 def main(argv: list[str] | None = None) -> int:
     code, report = run(argv)
     if report is not None:
-        print(report.to_json())
+        try:
+            print(report.to_json(), flush=True)
+        except BrokenPipeError:
+            # the reader closed stdout early; send the exit-time flush to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

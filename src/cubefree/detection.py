@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .groups import GeneratorMultiset, ResidueSet, _layer_mask, scale_mask, shift_mask
+from .groups import GeneratorMultiset, ResidueSet, _layer_mask, scale_mask
 from .sumsets import projective_cube
 
 
@@ -252,6 +252,8 @@ def find_homogeneous_cube(A: ResidueSet, ell: int) -> tuple[int, int] | None:
     ctx = A.ctx
     size = ctx.modulus
     amask = A.mask
+    # bit y < 2^n of doubled >> c is set iff y + c (mod 2^n) lies in A
+    doubled = amask | amask << size
     r = (1 << ell) - 1
     runs = _run_masks(ctx.n, r)
     for x in range(size):
@@ -259,7 +261,7 @@ def find_homogeneous_cube(A: ResidueSet, ell: int) -> tuple[int, int] | None:
             continue
         inter = amask
         for i in range(1, r + 1):
-            inter &= shift_mask(amask, -(i * x), ctx)
+            inter &= doubled >> (i * x % size)
             if not inter:
                 break
         if inter:
@@ -273,6 +275,7 @@ def find_degenerate_3cube(A: ResidueSet) -> CubeWitness | None:
     ctx = A.ctx
     size = ctx.modulus
     amask = A.mask
+    doubled = amask | amask << size
     runs = _run_masks(ctx.n, 3)
     for x in range(size):
         if runs[x] & ~amask == 0:
@@ -283,7 +286,7 @@ def find_degenerate_3cube(A: ResidueSet) -> CubeWitness | None:
             continue
         inter = amask
         for c in (x, 3 * x, 4 * x):
-            inter &= shift_mask(amask, -c, ctx)
+            inter &= doubled >> (c % size)
             if not inter:
                 break
         if inter:

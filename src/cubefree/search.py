@@ -3,16 +3,19 @@
 The maximum cube-free search works on the complete, deduplicated family of
 cube masks for the requested dimension: a subset is feasible iff it fully
 contains none of them.  Dominated masks (supersets of another cube) are
-dropped since the smaller cube's constraint implies theirs.  The exact
-search branches on the elements of a smallest open constraint (every
+dropped since the smaller cube's constraint implies theirs; masks are
+taken by increasing size and looked up in a set-trie of the kept ones.  The
+exact search branches on the elements of a smallest open constraint (every
 feasible improvement must exclude one of them), with a greedy
 disjoint-constraint packing as the lower bound on further exclusions and
 the layered construction as the initial incumbent.
 
-The layer-union search tests the 2^(n+1) unions in decreasing size order
-with the scale-invariant detection engine; each union is analysed in the
-smallest group containing its top layer, so sweeps over many dimensions
-and group sizes share the detection memo.
+The layer-union search counts v down from 2^n - 1: with L_i on bit n - i,
+the union of the layers L_1..L_n picked by the bits of v has exactly v
+residues, so the first cube-free union is a largest one.  Unions holding
+L_{n+1} = {0} contain every cube and are never tested.  Each union is
+analysed with the scale-invariant detection engine in the smallest group
+containing its top layer, so sweeps share the detection memo.
 
 No external solver is embedded: LP and DIMACS models are emitted as text,
 and a separate validator re-checks solver output against the actual
@@ -51,24 +54,32 @@ class SearchCertificate:
     elapsed: float
 
 
+def _holds_subset(node: dict, m: int) -> bool:
+    """True iff the set-trie below ``node`` stores a path made only of bits of m."""
+    for bit, child in node.items():
+        if bit & m and (child is True or _holds_subset(child, m)):
+            return True
+    return False
+
+
 def _minimal_unique(masks: list[int]) -> list[int]:
-    """Drop duplicate masks and masks that contain another mask."""
+    """Drop duplicate masks and masks that contain another; masks are nonzero.
+
+    Kept masks, in (bit count, value) order, are set-trie paths of their bits,
+    lowest first, to a True leaf; as an antichain, no path prefixes another.
+    """
     kept: list[int] = []
-    kept_set: set[int] = set()
+    root: dict = {}
     for m in sorted(set(masks), key=lambda c: (c.bit_count(), c)):
-        if m.bit_count() <= 12:
-            dominated = False
-            sub = (m - 1) & m
-            while sub:
-                if sub in kept_set:
-                    dominated = True
-                    break
-                sub = (sub - 1) & m
-        else:
-            dominated = any(c & ~m == 0 for c in kept)
-        if not dominated:
-            kept.append(m)
-            kept_set.add(m)
+        if _holds_subset(root, m):
+            continue
+        kept.append(m)
+        node, rest = root, m
+        while rest & (rest - 1):
+            low = rest & -rest
+            node = node.setdefault(low, {})
+            rest ^= low
+        node[rest] = True
     return kept
 
 
@@ -239,31 +250,6 @@ def max_cube_free_exact(
     return SearchCertificate(mode, val, witness, explored, time.perf_counter() - start)
 
 
-_union_tables: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {}
-
-
-def _layer_union_table(ctx: GroupContext) -> list[tuple[int, int, tuple[int, ...]]]:
-    """(union mask, size, layer indices) for every layer union, sorted by
-    decreasing size; cached per group exponent."""
-    n = ctx.n
-    cached = _union_tables.get(n)
-    if cached is not None:
-        return cached
-    layer_bits = [_layer_mask(n, i) for i in range(1, n + 2)]
-    entries = []
-    for subset in range(1 << (n + 1)):
-        umask = 0
-        indices = []
-        for i in range(n + 1):
-            if subset >> i & 1:
-                umask |= layer_bits[i]
-                indices.append(i + 1)
-        entries.append((umask, umask.bit_count(), tuple(indices)))
-    entries.sort(key=lambda e: (-e[1], e[0]))
-    _union_tables[n] = entries
-    return entries
-
-
 def union_max_dimension(layer_indices: tuple[int, ...], ctx: GroupContext, cap: int) -> int:
     """Capped max cube dimension of a union of layers, given by indices.
 
@@ -280,31 +266,26 @@ def union_max_dimension(layer_indices: tuple[int, ...], ctx: GroupContext, cap: 
         return cap  # 0 belongs to the union, which contains every cube dimension
     top = max(layer_indices)
     eff = GroupContext(top) if top < ctx.n else ctx
-    union = ResidueSet.empty(eff)
+    umask = 0
     for i in layer_indices:
-        union = union | ResidueSet(eff, _layer_mask(eff.n, i))
-    return max_cube_dimension(union, cap, scale_invariant=True)
+        umask |= _layer_mask(eff.n, i)
+    return max_cube_dimension(ResidueSet(eff, umask), cap, scale_invariant=True)
 
 
 def max_cube_free_layer_unions(ctx: GroupContext, d: int) -> SearchCertificate:
-    """Largest d-cube-free union of layers (all 2^(n+1) unions enumerated).
-
-    Unions are tested in decreasing size order, so the first cube-free one
-    attains the optimum; the detection engine's shared memo makes repeated
-    sweeps cheap.
-    """
+    """Largest d-cube-free union of layers; ``explored`` counts the unions tested."""
     if not 1 <= d <= ctx.n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={ctx.n}")
     start = time.perf_counter()
-    table = _layer_union_table(ctx)
-    examined = 0
-    for umask, size, indices in table:
-        examined += 1
+    n = ctx.n
+    for v in range((1 << n) - 1, -1, -1):
+        indices = tuple(i for i in range(1, n + 1) if v >> (n - i) & 1)
         if union_max_dimension(indices, ctx, d) < d:
-            return SearchCertificate(
-                "layer_unions", size, ResidueSet(ctx, umask), examined,
-                time.perf_counter() - start,
-            )
+            umask = 0
+            for i in indices:
+                umask |= _layer_mask(n, i)
+            return SearchCertificate("layer_unions", v, ResidueSet(ctx, umask),
+                                     (1 << n) - v, time.perf_counter() - start)
     raise AssertionError("the empty union is always cube-free")  # pragma: no cover
 
 
@@ -450,18 +431,23 @@ def export_cnf(ctx: GroupContext, d: int, target: int, patterns: str = "all",
     return "\n".join(header + body) + "\n"
 
 
-def parse_assignment(text: str) -> dict[int, float]:
+def parse_assignment(text: str, size: int) -> dict[int, float]:
     """Parse solver output into a residue -> value map.
 
-    'x12 1' and '12 1' give residue 12 the value 1.  DIMACS 'v' lines list
+    'x12 1' and '12 1' give residue 12 the value 1; a residue outside
+    [0, size) raises ValueError.  DIMACS 'v' lines list
     literals of 1-based variables: variable v is residue v - 1, as in
     ``export_cnf``, so counter variables land past 2^n - 1 and are ignored by
     the validator.  'c' and 's' lines, '#' and '\\' comments and blank lines
-    are skipped; any other line raises ValueError.
+    are skipped, except that an 's UNSATISFIABLE' or 's UNKNOWN' status
+    (no assignment at all) raises ValueError, as does any other line.
     """
     out: dict[int, float] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
+        if parts[:1] == ["s"] and ("UNSATISFIABLE" in parts or "UNKNOWN" in parts):
+            raise ValueError(f"solver output line {lineno} reports {raw.strip()!r}: "
+                             "there is no assignment to validate")
         if not parts or parts[0] in ("c", "s") or parts[0][0] in "#\\":
             continue
         try:
@@ -470,13 +456,17 @@ def parse_assignment(text: str) -> dict[int, float]:
                     if lit:
                         out[abs(lit) - 1] = 1.0 if lit > 0 else 0.0
                 continue
-            name, value = parts
-            out[int(name.removeprefix("x"))] = float(value)
+            name, raw_value = parts
+            residue, value = int(name.removeprefix("x")), float(raw_value)
         except ValueError:
             raise ValueError(
                 f"assignment line {lineno} is not 'x<residue> <value>', "
                 f"'<residue> <value>' or a DIMACS 'v' line: {raw.strip()!r}"
             ) from None
+        if not 0 <= residue < size:
+            raise ValueError(f"assignment line {lineno} names residue {residue} "
+                             f"outside [0, {size - 1}]: {raw.strip()!r}")
+        out[residue] = value
     return out
 
 
@@ -488,7 +478,7 @@ def validate_assignment(ctx: GroupContext, d: int, assignment: dict[int, float] 
     pattern family) and the objective value |A|.
     """
     if isinstance(assignment, str):
-        assignment = parse_assignment(assignment)
+        assignment = parse_assignment(assignment, ctx.modulus)
     selected = [v for v, val in assignment.items()
                 if 0 <= v < ctx.modulus and val > 0.5]
     A = ResidueSet.from_members(ctx, selected)

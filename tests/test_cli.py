@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -73,6 +77,11 @@ def test_validate_reads_dimacs_solver_output(tmp_path):
                            "--solution", str(sol))
     assert code == 0
     assert report.result["selected"] == [0, 2, 4] and not report.result["feasible"]
+    # counter variables 9 and up lie past residue 7 and are ignored
+    sol.write_text("s SATISFIABLE\nv 1 -2 3 -4 5 -6 7 -8 9 10 -11 0\n")
+    code, report = run_cli("max-search", "--n", "3", "--d", "3", "--mode", "validate",
+                           "--solution", str(sol))
+    assert code == 0 and report.result["selected"] == [0, 2, 4, 6]
     sol.write_text("v 1 -2 0\ngarbage here now\n")
     code, report = run_cli("max-search", "--n", "3", "--d", "3", "--mode", "validate",
                            "--solution", str(sol))
@@ -136,3 +145,44 @@ def test_failed_check_exits_one(monkeypatch):
     assert code == 1
     assert report.status == "counterexample"
     assert report.result["checks"][0]["failures"] == ["d=2: wrong layers"]
+
+
+@pytest.mark.parametrize("content, named", [
+    ("s UNSATISFIABLE\n", "line 1 reports 's UNSATISFIABLE'"),
+    ("x1 1\nx99 1\n", "line 2 names residue 99 outside [0, 7]"),
+    ("x1 1\nx-3 1\n", "line 2 names residue -3 outside [0, 7]"),
+], ids=["unsat", "above", "negative"])
+def test_validate_rejects_unsat_and_out_of_range_residues(tmp_path, capsys, content, named):
+    sol = tmp_path / "solver.out"
+    sol.write_text(content)
+    code, report = run_cli("max-search", "--n", "3", "--d", "3", "--mode", "validate",
+                           "--solution", str(sol))
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and err.count("\n") == 1
+
+
+def test_closed_stdout_keeps_exit_code_without_traceback():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # the LP model at (5, 3) is about 100 kB, more than a pipe buffer holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cubefree.cli", "max-search", "--n", "5", "--d", "3",
+         "--mode", "lp"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 0
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
+
+
+def test_memory_error_exits_two(monkeypatch, capsys):
+    def exhausted(args, budget):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._HANDLERS, "construct", exhausted)
+    code, report = run_cli("construct", "--d", "26", "--n", "34")
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "memory" in err and err.count("\n") == 1

@@ -1,11 +1,14 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cubefree.construction import construction_size
 from cubefree.detection import is_cube_free
 from cubefree.errors import CapacityError
-from cubefree.groups import GroupContext, ResidueSet, centred_set
+from cubefree.groups import GroupContext, ResidueSet, _layer_mask, centred_set
 from cubefree.counting import count_schur_triples
 from cubefree.search import (
+    _minimal_unique,
     cube_constraint_masks,
     degenerate_3cube_masks,
     export_cnf,
@@ -140,6 +143,34 @@ def test_layer_union_optimum_matches_construction_small():
                 construction_size(d, ctx)
 
 
+def sorted_union_table(n):
+    """(union mask, size, layer indices) for all 2^(n+1) unions of L_1..L_{n+1},
+    by decreasing size, then by mask."""
+    entries = []
+    for subset in range(1 << (n + 1)):
+        indices = tuple(i + 1 for i in range(n + 1) if subset >> i & 1)
+        umask = 0
+        for i in indices:
+            umask |= _layer_mask(n, i)
+        entries.append((umask, umask.bit_count(), indices))
+    return sorted(entries, key=lambda e: (-e[1], e[0]))
+
+
+def test_layer_union_sweep_matches_sorted_table():
+    for n in range(1, 7):
+        ctx = GroupContext(n)
+        table = sorted_union_table(n)
+        for d in range(1, n + 1):
+            first = next(k for k, (umask, _, _) in enumerate(table)
+                         if is_cube_free(ResidueSet(ctx, umask), d))
+            umask, size, _ = table[first]
+            cert = max_cube_free_layer_unions(ctx, d)
+            assert (cert.optimum, cert.witness.mask) == (size, umask)
+            # every union without {0} = L_{n+1} down to the optimum is tested
+            assert cert.explored == sum(1 for _, _, indices in table[:first + 1]
+                                        if n + 1 not in indices)
+
+
 def test_union_max_dimension_independent_of_n():
     for indices in [(1,), (1, 3), (2, 3), (1, 2, 4)]:
         values = {union_max_dimension(indices, GroupContext(n), 10)
@@ -262,7 +293,7 @@ def test_cnf_edge_targets():
 def test_parse_and_validate_assignment():
     ctx = GroupContext(3)
     text = "# solver output\nx1 1\nx3 1.0\nx5 0\n7 1\n"
-    values = parse_assignment(text)
+    values = parse_assignment(text, 8)
     assert values == {1: 1.0, 3: 1.0, 5: 0.0, 7: 1.0}
     report = validate_assignment(ctx, 2, text)
     assert report["selected"] == [1, 3, 7]
@@ -275,8 +306,8 @@ def test_parse_and_validate_assignment():
 def test_dimacs_v_lines_are_one_based():
     ctx = GroupContext(3)
     text = "c solver\ns SATISFIABLE\nv 1 -2 3 -4 5\nv -6 7 -8 9 -10 0\n"
-    assert parse_assignment(text) == {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 1.0,
-                                      5: 0.0, 6: 1.0, 7: 0.0, 8: 1.0, 9: 0.0}
+    assert parse_assignment(text, 8) == {0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 1.0,
+                                         5: 0.0, 6: 1.0, 7: 0.0, 8: 1.0, 9: 0.0}
     # variables 9 and 10 are counter variables past residue 7
     report = validate_assignment(ctx, 3, "v 1 -2 3 -4 5 0\n")
     assert report["selected"] == [0, 2, 4] and report["objective"] == 3
@@ -294,7 +325,7 @@ def test_dimacs_v_lines_are_one_based():
                                   "x 1", "3 yes"])
 def test_parse_assignment_rejects_unknown_lines(line):
     with pytest.raises(ValueError, match="line 2"):
-        parse_assignment("x1 1\n" + line + "\n")
+        parse_assignment("x1 1\n" + line + "\n", 8)
 
 
 def test_constraint_masks_are_minimal_and_complete():
@@ -308,3 +339,20 @@ def test_constraint_masks_are_minimal_and_complete():
     for mask in range(256):
         feasible = all(c & ~mask for c in masks)
         assert feasible == is_cube_free(ResidueSet(ctx, mask), 2)
+
+
+def all_pairs_minimal(masks):
+    """The dominance filter's slow reference: distinct masks containing no other."""
+    distinct = set(masks)
+    return sorted((m for m in distinct if not any(c != m and c & ~m == 0 for c in distinct)),
+                  key=lambda c: (c.bit_count(), c))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.frozensets(st.integers(0, 39), min_size=1, max_size=30)
+                .map(lambda bits: sum(1 << b for b in bits)), min_size=1, max_size=30))
+@example([0b111, 0b111, 0b1111, (1 << 40) - 1, (1 << 13) - 1, 1 << 39])
+def test_minimal_unique_matches_all_pairs_scan(masks):
+    # neighbour unions contain both neighbours, and every other mask repeats
+    family = masks + [a | b for a, b in zip(masks, masks[1:])] + masks[::2]
+    assert _minimal_unique(family) == all_pairs_minimal(family)
