@@ -79,7 +79,7 @@ def _cmd_construct(args, budget) -> tuple[Any, str]:
     built = layered_construction(args.d, ctx)
     vector = list(block_vector(args.d).lengths) if args.d >= 2 else []
     return {
-        "set": built.to_list(),
+        "set": built.members(),
         "block_vector": vector,
         "layers": list(construction_layers(args.d)),
         "size": len(built),
@@ -95,7 +95,7 @@ def _cmd_find_cube(args, budget) -> tuple[Any, str]:
     return {
         "found": True,
         "generators": list(witness.generators.elements),
-        "cube": witness.cube.to_list(),
+        "cube": witness.cube.members(),
     }, STATUS_OK
 
 
@@ -126,28 +126,20 @@ def _cmd_min_schur(args, budget) -> tuple[Any, str]:
     return {
         "mode": cert.mode,
         "minimum": cert.optimum,
-        "witness": cert.witness.to_list(),
+        "witness": cert.witness.members(),
         "explored": cert.explored,
     }, STATUS_OK
 
 
 def _cmd_max_search(args, budget) -> tuple[Any, str]:
     ctx = GroupContext(args.n)
-    if args.mode == "exact":
-        cert = max_cube_free_exact(ctx, args.d, symmetry=args.symmetry,
-                                   enum_budget=budget, node_budget=budget)
+    if args.mode in ("exact", "layers"):
+        cert = (max_cube_free_exact(ctx, args.d, symmetry=args.symmetry, budget=budget)
+                if args.mode == "exact" else max_cube_free_layer_unions(ctx, args.d))
         return {
             "mode": cert.mode,
             "optimum": cert.optimum,
-            "witness": cert.witness.to_list(),
-            "explored": cert.explored,
-        }, STATUS_OK
-    if args.mode == "layers":
-        cert = max_cube_free_layer_unions(ctx, args.d)
-        return {
-            "mode": cert.mode,
-            "optimum": cert.optimum,
-            "witness": cert.witness.to_list(),
+            "witness": cert.witness.members(),
             "explored": cert.explored,
         }, STATUS_OK
     if args.mode == "lp":

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import CapacityError
-from .groups import GroupContext, ResidueSet, layer_range_set
+from .groups import GroupContext, ResidueSet, _layer_mask
 
 MIN_RUN_DIMENSION = 2
 
@@ -103,10 +103,10 @@ def layered_construction(d: int, ctx: GroupContext) -> ResidueSet:
             f"construction for d={d} needs layers up to L_{top}, "
             f"but the group only has n={ctx.n}"
         )
-    out = ResidueSet.empty(ctx)
-    for lo, hi in block_vector(d).layer_runs():
-        out = out | layer_range_set(lo, hi, ctx)
-    return out
+    mask = 0
+    for i in layers:
+        mask |= _layer_mask(ctx.n, i)
+    return ResidueSet(ctx, mask)
 
 
 def construction_size(d: int, ctx: GroupContext) -> int:

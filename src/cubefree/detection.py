@@ -275,11 +275,10 @@ def find_degenerate_3cube(A: ResidueSet) -> CubeWitness | None:
     ctx = A.ctx
     size = ctx.modulus
     amask = A.mask
+    x = find_multiple_run(A, 3)
+    if x is not None:
+        return CubeWitness.build(GeneratorMultiset.of(ctx, (x, x, x)), A)
     doubled = amask | amask << size
-    runs = _run_masks(ctx.n, 3)
-    for x in range(size):
-        if runs[x] & ~amask == 0:
-            return CubeWitness.build(GeneratorMultiset.of(ctx, (x, x, x)), A)
     for x in range(size):
         base = (1 << x) | (1 << (3 * x % size)) | (1 << (4 * x % size))
         if base & ~amask:

@@ -24,16 +24,19 @@ from typing import Iterable, Iterator
 
 from .errors import RangeError
 
+MAX_N = 21  # every set is a 2^n-bit mask, 256 KiB at n = 21 (the d = 59 construction)
+
 
 @dataclass(frozen=True)
 class GroupContext:
-    """The ambient group Z_{2^n}, with n >= 1."""
+    """The ambient group Z_{2^n}, with 1 <= n <= MAX_N."""
 
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise RangeError(f"group exponent must be an integer >= 1, got {self.n!r}")
+        if not isinstance(self.n, int) or not 1 <= self.n <= MAX_N:
+            raise RangeError(f"group exponent must be an integer in [1, {MAX_N}], "
+                             f"got {self.n!r}")
 
     # cached in the instance dict (no __slots__); eq and hash still use n only
     @cached_property
@@ -160,10 +163,6 @@ class ResidueSet:
 
     def with_member(self, x: int) -> "ResidueSet":
         return ResidueSet(self.ctx, self.mask | 1 << self.ctx.reduce(x))
-
-    def to_list(self) -> list[int]:
-        """Serialization form: ascending decimal residues (JSON array)."""
-        return self.members()
 
     def _check_ctx(self, other: "ResidueSet") -> None:
         if other.ctx != self.ctx:

@@ -17,7 +17,6 @@ explicitly because the interesting applications choose them.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
@@ -73,11 +72,6 @@ class ResidueCollection:
             items.remove(r % self.modulus)
         items.extend(a % self.modulus for a in added)
         return ResidueCollection.of(self.k, items)
-
-    def scaled(self, lam: int) -> "ResidueCollection":
-        if lam % 2 == 0:
-            raise ValueError("collection scaling must use an odd unit")
-        return ResidueCollection.of(self.k, (lam * e for e in self.elements))
 
     def sumset_mask(self) -> int:
         """Bit mask of all subset sums (the empty sum included)."""
@@ -247,7 +241,6 @@ class ExhaustionReport:
     half_sum_count: int
     disjoint_zero_count: int
     counterexamples: tuple[tuple[int, ...], ...]
-    elapsed: float
 
     @property
     def ok(self) -> bool:
@@ -269,7 +262,6 @@ def verify_zero_sum_dichotomy(k: int, x: int, budget: int = DEFAULT_INSTANCE_BUD
             f"{space} multisets exceed the budget of {budget}", space_size=space
         )
     target_bit = 1 << (1 << k)
-    start = time.perf_counter()
     checked = 0
     half_sums = 0
     zero_parts = 0
@@ -291,7 +283,6 @@ def verify_zero_sum_dichotomy(k: int, x: int, budget: int = DEFAULT_INSTANCE_BUD
         half_sum_count=half_sums,
         disjoint_zero_count=zero_parts,
         counterexamples=tuple(counterexamples),
-        elapsed=time.perf_counter() - start,
     )
 
 

@@ -25,7 +25,6 @@ cube-freeness predicate.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -38,7 +37,6 @@ from .groups import GroupContext, ResidueSet, _layer_mask, mask_members
 from .sumsets import cube_mask
 
 DEFAULT_ENUM_BUDGET = 5_000_000
-DEFAULT_SUBSET_BUDGET = 1 << 20
 DEFAULT_NODE_BUDGET = 50_000_000
 DEFAULT_COMBO_BUDGET = 1_000_000
 
@@ -51,7 +49,6 @@ class SearchCertificate:
     optimum: int
     witness: ResidueSet
     explored: int
-    elapsed: float
 
 
 def _holds_subset(node: dict, m: int) -> bool:
@@ -126,23 +123,6 @@ def _pattern_masks(ctx: GroupContext, d: int, patterns: str, budget: int | None)
     raise ValueError(f"unknown pattern family {patterns!r}")
 
 
-def _exhaustive_max(size: int, masks: list[int], budget: int) -> tuple[int, int, int]:
-    if (1 << size) > budget:
-        raise CapacityError(
-            f"{1 << size} subsets exceed the budget of {budget}", space_size=1 << size
-        )
-    ordered = sorted(masks, key=lambda c: c.bit_count())
-    best_val = -1
-    best_mask = 0
-    for mask in range(1 << size):
-        if mask.bit_count() <= best_val:
-            continue
-        if all(c & ~mask for c in ordered):
-            best_val = mask.bit_count()
-            best_mask = mask
-    return best_val, best_mask, 1 << size
-
-
 def _bnb_max(
     size: int,
     masks: list[int],
@@ -205,49 +185,38 @@ def _bnb_max(
 def max_cube_free_exact(
     ctx: GroupContext,
     d: int,
-    mode: str = "branch_and_bound",
     symmetry: bool = False,
-    enum_budget: int | None = None,
-    node_budget: int | None = None,
-    subset_budget: int | None = None,
+    budget: int | None = None,
 ) -> SearchCertificate:
     """Maximum cardinality of a d-cube-free subset of Z_{2^n}, with a maximizer.
 
-    ``symmetry=True`` fixes 1 as a member (the odd-unit action maps any set
-    with an odd element onto one containing 1, and sets without odd elements
-    never beat the layered incumbent); it only engages when the incumbent
-    already covers the odd layer.
+    ``budget`` caps both the generator multisets enumerated and the
+    branch-and-bound nodes; None keeps DEFAULT_ENUM_BUDGET and
+    DEFAULT_NODE_BUDGET.  ``symmetry=True`` fixes 1 as a member (the odd-unit
+    action maps any set with an odd element onto one containing 1, and sets
+    without odd elements never beat the layered incumbent); it only engages
+    when the incumbent already covers the odd layer.
     """
     if d < 1:
         raise ValueError(f"cube dimension must be positive, got {d}")
-    start = time.perf_counter()
-    size = ctx.modulus
     if d == 1:
         # any single element is a 1-cube, so only the empty set qualifies
-        return SearchCertificate("exhaustive", 0, ResidueSet.empty(ctx), 0,
-                                 time.perf_counter() - start)
-    masks = cube_constraint_masks(ctx, d, enum_budget)
-    if mode == "exhaustive":
-        budget = DEFAULT_SUBSET_BUDGET if subset_budget is None else subset_budget
-        val, mask, explored = _exhaustive_max(size, masks, budget)
-    elif mode == "branch_and_bound":
-        seed_val, seed_mask = 0, 0
-        top_needed = construction_layers(d)
-        if top_needed and top_needed[-1] <= ctx.n:
-            seed = layered_construction(d, ctx)
-            if all(c & ~seed.mask for c in masks):
-                seed_val, seed_mask = len(seed), seed.mask
-        forced = 0
-        if symmetry and seed_val >= (1 << (ctx.n - 1)):
-            forced = 1 << 1  # residue 1 stays in
-        budget = DEFAULT_NODE_BUDGET if node_budget is None else node_budget
-        val, mask, explored = _bnb_max(size, masks, seed_val, seed_mask, forced, budget)
-    else:
-        raise ValueError(f"unknown search mode {mode!r}")
+        return SearchCertificate("exhaustive", 0, ResidueSet.empty(ctx), 0)
+    masks = cube_constraint_masks(ctx, d, budget)
+    seed_val, seed_mask = 0, 0
+    if construction_layers(d)[-1] <= ctx.n:
+        seed = layered_construction(d, ctx)
+        if all(c & ~seed.mask for c in masks):
+            seed_val, seed_mask = len(seed), seed.mask
+    forced = 0
+    if symmetry and seed_val >= (1 << (ctx.n - 1)):
+        forced = 1 << 1  # residue 1 stays in
+    val, mask, explored = _bnb_max(ctx.modulus, masks, seed_val, seed_mask, forced,
+                                   DEFAULT_NODE_BUDGET if budget is None else budget)
     witness = ResidueSet(ctx, mask)
     if len(witness) != val or not is_cube_free(witness, d):
         raise AssertionError("search produced an invalid witness")
-    return SearchCertificate(mode, val, witness, explored, time.perf_counter() - start)
+    return SearchCertificate("branch_and_bound", val, witness, explored)
 
 
 def union_max_dimension(layer_indices: tuple[int, ...], ctx: GroupContext, cap: int) -> int:
@@ -276,7 +245,6 @@ def max_cube_free_layer_unions(ctx: GroupContext, d: int) -> SearchCertificate:
     """Largest d-cube-free union of layers; ``explored`` counts the unions tested."""
     if not 1 <= d <= ctx.n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={ctx.n}")
-    start = time.perf_counter()
     n = ctx.n
     for v in range((1 << n) - 1, -1, -1):
         indices = tuple(i for i in range(1, n + 1) if v >> (n - i) & 1)
@@ -284,8 +252,7 @@ def max_cube_free_layer_unions(ctx: GroupContext, d: int) -> SearchCertificate:
             umask = 0
             for i in indices:
                 umask |= _layer_mask(n, i)
-            return SearchCertificate("layer_unions", v, ResidueSet(ctx, umask),
-                                     (1 << n) - v, time.perf_counter() - start)
+            return SearchCertificate("layer_unions", v, ResidueSet(ctx, umask), (1 << n) - v)
     raise AssertionError("the empty union is always cube-free")  # pragma: no cover
 
 
@@ -329,7 +296,6 @@ def min_schur_exhaustive(
             f"{space} subsets of size {m} exceed the budget of {budget}",
             space_size=space,
         )
-    start = time.perf_counter()
     maps = _odd_scaling_maps(ctx.n) if symmetry else None
     best = None
     best_mask = 0
@@ -352,8 +318,7 @@ def min_schur_exhaustive(
     witness = ResidueSet(ctx, best_mask)
     if count_schur_triples(witness) != best:
         raise AssertionError("minimizer failed re-verification")
-    return SearchCertificate("exhaustive", best, witness, explored,
-                             time.perf_counter() - start)
+    return SearchCertificate("exhaustive", best, witness, explored)
 
 
 def _wrap_terms(terms: list[str], per_line: int = 12) -> list[str]:

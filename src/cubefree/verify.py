@@ -90,7 +90,7 @@ def check_max_cube_free_d2(level: str, rng: random.Random) -> CheckResult:
     failures = []
     cases = [(3, 4)] if level == "smoke" else [(3, 4), (4, 8)]
     for n, expected in cases:
-        cert = search.max_cube_free_exact(GroupContext(n), 2, mode="exhaustive")
+        cert = search.max_cube_free_exact(GroupContext(n), 2)
         if cert.optimum != expected:
             failures.append(f"n={n}: optimum {cert.optimum} != {expected}")
     return _result("max_cube_free_d2", start, failures,
@@ -273,7 +273,8 @@ def _random_no_half_sum_collection(k: int, rng: random.Random) -> oracle.Residue
     return C
 
 
-def _compression_sites(C: oracle.ResidueCollection) -> list[tuple]:
+def _compression_sites(C: oracle.ResidueCollection) -> list[tuple[str, dict[str, int]]]:
+    """(kind, site) pairs; a site holds the keyword arguments of ``oracle.compress``."""
     mod = C.modulus
     half = C.half
     units = C.count_unit_pairs()
@@ -281,10 +282,10 @@ def _compression_sites(C: oracle.ResidueCollection) -> list[tuple]:
     for t in set(C.elements):
         at = min(t, mod - t)
         if 1 < at <= units + 1:
-            sites.append(("type1", t))
+            sites.append(("type1", {"t": t}))
     for t in range(1, mod):
         if C.count(-t) >= 1 and C.count(half - t) >= 2:
-            sites.append(("type2", t))
+            sites.append(("type2", {"t": t}))
     if C.k >= 2 and units >= half // 2:
         lo, hi = 3 * (1 << (C.k - 2)), half - 1
         in_range = sorted({e for e in C.elements if lo <= e <= hi})
@@ -292,7 +293,7 @@ def _compression_sites(C: oracle.ResidueCollection) -> list[tuple]:
             for v in in_range[i:]:
                 if u == v and C.count(u) < 2:
                     continue
-                sites.append(("type3", u, v))
+                sites.append(("type3", {"u": u, "v": v}))
     return sites
 
 
@@ -311,31 +312,25 @@ def check_compression_properties(level: str, rng: random.Random) -> CheckResult:
         sites = _compression_sites(C)
         if not sites:
             continue
-        site = sites[rng.randrange(len(sites))]
-        kind = site[0]
-        if kind == "type1":
-            out = oracle.compress_type1(C, site[1])
-        elif kind == "type2":
-            out = oracle.compress_type2(C, site[1])
-        else:
-            out = oracle.compress_type3(C, site[1], site[2])
+        kind, site = sites[rng.randrange(len(sites))]
+        out = oracle.compress(C, kind, **site)
         checked += 1
         before = C.sumset_mask()
         after = out.sumset_mask()
         if kind == "type1" and after != before:
-            failures.append(f"type1 changed the sumset: {C.elements} at t={site[1]}")
+            failures.append(f"type1 changed the sumset: {C.elements} at {site}")
         if kind in ("type2", "type3") and after & ~before:
-            failures.append(f"{kind} enlarged the sumset: {C.elements} site={site[1:]}")
+            failures.append(f"{kind} enlarged the sumset: {C.elements} at {site}")
         if k <= 3 and checked % transfer_every == 0 and len(out.elements) <= 16:
             transfers += 1
             m_out = oracle.max_disjoint_zero_sets(out)
             m_in = oracle.max_disjoint_zero_sets(C)
             if kind == "type1":
-                shift = min(site[1], C.modulus - site[1]) - 1
+                shift = min(site["t"], C.modulus - site["t"]) - 1
                 if m_in < m_out - shift:
-                    failures.append(f"type1 transfer: {C.elements} t={site[1]}")
+                    failures.append(f"type1 transfer: {C.elements} at {site}")
             elif m_in < m_out:
-                failures.append(f"{kind} transfer: {C.elements} site={site[1:]}")
+                failures.append(f"{kind} transfer: {C.elements} at {site}")
     return _result("compression_properties", start, failures,
                    f"{checked} random valid sites checked, {transfers} with zero-part transfer")
 

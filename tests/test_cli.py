@@ -107,6 +107,14 @@ def test_usage_errors():
     assert code == 2  # capacity: construction does not fit
 
 
+def test_group_exponent_above_cap_exits_two(capsys):
+    # 2^34-bit masks would take 2 GiB each; the cap rejects n before any is built
+    code, report = run_cli("construct", "--d", "26", "--n", "34")
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert err.startswith("error: group exponent") and err.count("\n") == 1
+
+
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("CUBEFREE_BUDGET", "10")
     code, report = run_cli("max-search", "--n", "3", "--d", "3")

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cubefree.errors import RangeError
 from cubefree.groups import (
+    MAX_N,
     GeneratorMultiset,
     GroupContext,
     ResidueSet,
@@ -166,6 +167,9 @@ def test_group_context_cached_properties_keep_identity():
 def test_group_context_validation():
     with pytest.raises(RangeError):
         GroupContext(0)
+    assert GroupContext(MAX_N).n == MAX_N
+    with pytest.raises(RangeError, match=f"\\[1, {MAX_N}\\]"):
+        GroupContext(MAX_N + 1)
 
 
 def naive_subset_sums(elements, size):

@@ -8,6 +8,7 @@ from cubefree.errors import CapacityError
 from cubefree.groups import GroupContext, ResidueSet, _layer_mask, centred_set
 from cubefree.counting import count_schur_triples
 from cubefree.search import (
+    _bnb_max,
     _minimal_unique,
     cube_constraint_masks,
     degenerate_3cube_masks,
@@ -87,15 +88,14 @@ def dpll(clauses, assignment):
 def test_exact_matches_brute_force_n3():
     for d in (1, 2, 3):
         expected = brute_force_max_cube_free(3, d)
-        for mode in ("exhaustive", "branch_and_bound"):
-            cert = max_cube_free_exact(GroupContext(3), d, mode=mode)
-            assert cert.optimum == expected
-            assert is_cube_free(cert.witness, d)
-            assert len(cert.witness) == cert.optimum
+        cert = max_cube_free_exact(GroupContext(3), d)
+        assert cert.optimum == expected
+        assert is_cube_free(cert.witness, d)
+        assert len(cert.witness) == cert.optimum
 
 
 def test_exact_small_values():
-    assert max_cube_free_exact(GroupContext(3), 2, mode="exhaustive").optimum == 4
+    assert max_cube_free_exact(GroupContext(3), 2).optimum == 4
     assert max_cube_free_exact(GroupContext(4), 2).optimum == 8
     assert max_cube_free_exact(GroupContext(3), 3).optimum == 5
     assert max_cube_free_exact(GroupContext(4), 4).optimum == 12
@@ -118,9 +118,13 @@ def test_exact_search_without_construction_seed():
 
 def test_exact_budget_errors():
     with pytest.raises(CapacityError):
-        max_cube_free_exact(GroupContext(3), 3, enum_budget=10)
-    with pytest.raises(CapacityError):
-        max_cube_free_exact(GroupContext(4), 3, mode="exhaustive", subset_budget=100)
+        max_cube_free_exact(GroupContext(3), 3, budget=10)
+    ctx = GroupContext(4)
+    masks = cube_constraint_masks(ctx, 3)
+    best, _, nodes = _bnb_max(ctx.modulus, masks, 0, 0, 0, node_budget=10**6)
+    assert best == 10 and nodes > 5
+    with pytest.raises(CapacityError, match="node budget of 5"):
+        _bnb_max(ctx.modulus, masks, 0, 0, 0, node_budget=5)
 
 
 def test_layer_union_certificates():
