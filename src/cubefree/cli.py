@@ -135,7 +135,8 @@ def _cmd_max_search(args, budget) -> tuple[Any, str]:
     ctx = GroupContext(args.n)
     if args.mode in ("exact", "layers"):
         cert = (max_cube_free_exact(ctx, args.d, symmetry=args.symmetry, budget=budget)
-                if args.mode == "exact" else max_cube_free_layer_unions(ctx, args.d))
+                if args.mode == "exact"
+                else max_cube_free_layer_unions(ctx, args.d, budget=budget))
         return {
             "mode": cert.mode,
             "optimum": cert.optimum,

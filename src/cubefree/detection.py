@@ -11,10 +11,11 @@ dimension satisfies
 
     maxdim(D) = max over g in D of  1 + maxdim(D & (D - g)).
 
-maxdim is intrinsic to D, which allows a single global memo table plus two
-exact reductions: a set of even residues halves into Z_{2^(n-1)}, and odd
-scaling is free (Sigma*(lam Y) = lam Sigma*Y), so the smallest odd element
-is normalized to 1 before lookup.
+maxdim is intrinsic to D, which allows a single global memo table (cleared
+whole once it holds _MEMO_LIMIT entries) plus two exact reductions: a set
+of even residues halves into Z_{2^(n-1)}, and odd scaling is free
+(Sigma*(lam Y) = lam Sigma*Y), so the smallest odd element is normalized to
+1 before lookup.
 
 Two sound caps bound the recursion when 0 is not in D:
 
@@ -26,6 +27,19 @@ Two sound caps bound the recursion when 0 is not in D:
   is divisible by 2^t and cannot lie in D, so maxdim(D) <= 2^(t-j+1) - 1.
   (Both facts are exercised independently by the zero-sum oracle module.)
 
+Symmetry prunes generators.  Suppose every odd lam = 1 (mod 2^k) fixes D.
+Then lam (D & (D - g)) = D & (D - lam g), so g and lam g give children of
+equal maxdim, and the orbit of g = 2^v u (u odd) under those lam is every
+residue = g (mod 2^(k+v)), or just g once k + v >= n.  Only the generators
+g < 2^(k+v) are branched on, and the child D & (D - g) is fixed by every
+lam = 1 (mod 2^k') with
+
+    k' = max(k, n - v),
+
+since those lam fix g too.  Halving and odd scaling keep the promise.  A
+union of layers is fixed by every odd lam, so it starts from k = 1; k >= n
+promises nothing and prunes nothing.
+
 The witness engine explores non-decreasing generator tuples in
 lexicographic order and returns the smallest witness.
 """
@@ -35,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .groups import GeneratorMultiset, ResidueSet, _layer_mask, scale_mask
+from .groups import MAX_N, GeneratorMultiset, ResidueSet, _layer_mask, scale_mask
 from .sumsets import projective_cube
 
 
@@ -82,6 +96,7 @@ def _normalize(mask: int, n: int) -> tuple[int, int]:
     return mask, n
 
 
+_MEMO_LIMIT = 1 << 20  # combined entries of _exact and _atleast before both are cleared
 _exact: dict[tuple[int, int], int] = {}
 _atleast: dict[tuple[int, int], int] = {}
 
@@ -91,8 +106,18 @@ def clear_detection_cache() -> None:
     _atleast.clear()
 
 
-def _maxdim(mask: int, n: int, cap: int) -> int:
-    """min(largest cube dimension inside the set, cap)."""
+def _remember(table: dict[tuple[int, int], int], key: tuple[int, int], value: int) -> None:
+    if len(_exact) + len(_atleast) >= _MEMO_LIMIT:
+        clear_detection_cache()
+    table[key] = value
+
+
+def _maxdim(mask: int, n: int, cap: int, k: int = MAX_N) -> int:
+    """min(largest cube dimension inside the set, cap).
+
+    ``k`` promises that every odd lam = 1 (mod 2^k) fixes the set (k >= 1);
+    the default promises nothing.
+    """
     if cap <= 0 or mask == 0:
         return 0
     if mask & 1:
@@ -120,24 +145,30 @@ def _maxdim(mask: int, n: int, cap: int) -> int:
     best = 1
     seen = {0}
     rest = mask
+    child_k = k
     while rest:
         low = rest & -rest
         g = low.bit_length() - 1
         rest ^= low
+        if k < n:
+            v = (g & -g).bit_length() - 1
+            if g >> (k + v):
+                continue  # g = lam g' for a smaller g' in its orbit
+            child_k = max(k, n - v)
         # D & (D - g): the candidate set after adopting the generator g
         child = mask & (doubled >> g)
         if child in seen:
             continue
         seen.add(child)
-        sub = _maxdim(child, n, cap - 1)
+        sub = _maxdim(child, n, cap - 1, child_k)
         if 1 + sub > best:
             best = 1 + sub
             if best >= cap:
                 break
     if best < cap:
-        _exact[key] = best
+        _remember(_exact, key, best)
     elif best > _atleast.get(key, 0):
-        _atleast[key] = best
+        _remember(_atleast, key, best)
     return best
 
 
@@ -145,31 +176,12 @@ def max_cube_dimension(A: ResidueSet, cap: int, scale_invariant: bool = False) -
     """Largest cube dimension found in A, capped at ``cap``.
 
     ``scale_invariant=True`` is a caller promise that A is fixed by every
-    odd scaling (true for unions of layers); the first generator is then
-    canonicalized to one power of two per populated layer.
+    odd scaling (true for unions of layers); generators are then branched
+    on one per orbit of the stabilizer (see the module docstring).
     """
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    mask = A.mask
-    n = A.ctx.n
-    if not scale_invariant:
-        return _maxdim(mask, n, cap)
-    if mask == 0 or cap == 0:
-        return 0
-    if mask & 1:
-        return cap
-    doubled = mask | mask << (1 << n)
-    best = 0
-    for i in range(1, n + 1):
-        if not mask & _layer_mask(n, i):
-            continue
-        child = mask & (doubled >> (1 << (i - 1)))
-        sub = _maxdim(child, n, cap - 1)
-        if 1 + sub > best:
-            best = 1 + sub
-            if best >= cap:
-                break
-    return best
+    return _maxdim(A.mask, A.ctx.n, cap, 1 if scale_invariant else MAX_N)
 
 
 def is_cube_free(A: ResidueSet, d: int, scale_invariant: bool = False) -> bool:

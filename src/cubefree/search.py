@@ -241,12 +241,19 @@ def union_max_dimension(layer_indices: tuple[int, ...], ctx: GroupContext, cap: 
     return max_cube_dimension(ResidueSet(eff, umask), cap, scale_invariant=True)
 
 
-def max_cube_free_layer_unions(ctx: GroupContext, d: int) -> SearchCertificate:
-    """Largest d-cube-free union of layers; ``explored`` counts the unions tested."""
+def max_cube_free_layer_unions(ctx: GroupContext, d: int,
+                               budget: int | None = None) -> SearchCertificate:
+    """Largest d-cube-free union of layers; ``explored`` counts the unions tested.
+
+    Raises CapacityError before testing more than ``budget`` unions (None: no limit).
+    """
     if not 1 <= d <= ctx.n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={ctx.n}")
     n = ctx.n
     for v in range((1 << n) - 1, -1, -1):
+        if budget is not None and (1 << n) - v > budget:
+            raise CapacityError(f"layer-union sweep exceeded the budget of {budget} unions",
+                                1 << n)
         indices = tuple(i for i in range(1, n + 1) if v >> (n - i) & 1)
         if union_max_dimension(indices, ctx, d) < d:
             umask = 0

@@ -115,6 +115,14 @@ def test_group_exponent_above_cap_exits_two(capsys):
     assert err.startswith("error: group exponent") and err.count("\n") == 1
 
 
+def test_layer_sweep_budget_exits_two():
+    # unbudgeted, this sweep runs for seconds over 6144 unions
+    code, report = run_cli("max-search", "--n", "14", "--d", "3", "--mode", "layers",
+                           "--budget", "10")
+    assert code == 2 and report.status == "budget_exceeded"
+    assert report.result["error"] == "layer-union sweep exceeded the budget of 10 unions"
+
+
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("CUBEFREE_BUDGET", "10")
     code, report = run_cli("max-search", "--n", "3", "--d", "3")

@@ -1,10 +1,15 @@
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from cubefree import detection
 from cubefree.construction import layered_construction
 from cubefree.detection import (
     CubeWitness,
+    _maxdim,
+    clear_detection_cache,
     find_cube,
     find_degenerate_3cube,
     find_homogeneous_cube,
@@ -13,6 +18,7 @@ from cubefree.detection import (
     max_cube_dimension,
 )
 from cubefree.groups import GeneratorMultiset, GroupContext, ResidueSet, layer_set
+from cubefree.search import max_cube_free_layer_unions
 from cubefree.sumsets import cube_mask, projective_cube
 
 
@@ -160,3 +166,83 @@ def test_degenerate_3cube_on_dense_sets(rng):
         members = rng.sample(range(16), rng.randint(threshold + 1, 16))
         A = ResidueSet.from_members(ctx, members)
         assert find_degenerate_3cube(A) is not None
+
+
+def _stabilizer_orbits(n, k):
+    """Orbit masks of the nonzero residues under the odd lam = 1 (mod 2^k)."""
+    size = 1 << n
+    orbits, covered = [], 1
+    for x in range(1, size):
+        if not covered >> x & 1:
+            orbit = 0
+            for lam in range(1, size, 1 << k):
+                orbit |= 1 << (lam * x % size)
+            orbits.append(orbit)
+            covered |= orbit
+    return orbits
+
+
+@st.composite
+def stabilized_sets(draw):
+    """(mask, n, k, cap): a set fixed by every odd lam = 1 (mod 2^k).
+
+    Dense sets, k near n and deep caps are favoured: a wrong stabilizer
+    handed to a child shows only when a high-valuation generator is followed
+    by one the false symmetry would prune, and only when the search runs deep.
+    """
+    n = draw(st.integers(2, 6))
+    k = draw(st.one_of(st.sampled_from((n - 1, max(1, n - 2))), st.integers(1, n)))
+    orbits = _stabilizer_orbits(n, k)
+    # an orbit is kept unless its draw in [0, odds) is 0; at n = 6 odds stays 2,
+    # since dense sets there take seconds each
+    odds = draw(st.integers(2, 4 if n <= 5 else 2))
+    picks = draw(st.lists(st.integers(0, odds - 1), min_size=len(orbits), max_size=len(orbits)))
+    mask = 0
+    for orbit, pick in zip(orbits, picks):
+        if pick:
+            mask |= orbit
+    deep = 1 << n if n <= 4 else 2 * n
+    cap = draw(st.one_of(st.just(deep), st.integers(0, deep)))
+    return mask, n, k, cap
+
+
+@settings(max_examples=250, deadline=None)
+@given(stabilized_sets())
+# each example fails one wrong rule: the child keeping k, the child taking
+# n - v without the max, and branching only on g < 2^(k+v-1)
+@example((44216, 4, 3, 4))  # {3, 4, 5, 7, 10, 11, 13, 15}: maxdim 4
+@example((29381060, 5, 4, 5))  # {2, 6, 7, 8, 12, 14, 22, 23, 24}: maxdim 5
+@example((14, 2, 1, 2))  # {1, 2, 3}: maxdim 3
+def test_orbit_pruning_matches_unpruned(case):
+    mask, n, k, cap = case
+    clear_detection_cache()
+    pruned = _maxdim(mask, n, cap, k)
+    clear_detection_cache()
+    assert pruned == _maxdim(mask, n, cap)
+
+
+def test_memo_bound_keeps_answers(monkeypatch, rng):
+    ctx = GroupContext(4)
+    queries = [(ResidueSet(ctx, rng.getrandbits(16)), rng.randint(2, 5)) for _ in range(200)]
+
+    def answers():
+        clear_detection_cache()
+        sweeps = [(c.optimum, c.witness.mask, c.explored)
+                  for c in (max_cube_free_layer_unions(GroupContext(n), d)
+                            for n in range(1, 7) for d in range(1, n + 1))]
+        found = [w and w.generators.elements for w in (find_cube(A, d) for A, d in queries)]
+        return sweeps, found
+
+    expected = answers()
+    limit, peak = 64, [0]
+
+    class Tracked(dict):
+        def __setitem__(self, key, value):
+            super().__setitem__(key, value)
+            peak[0] = max(peak[0], len(detection._exact) + len(detection._atleast))
+
+    monkeypatch.setattr(detection, "_MEMO_LIMIT", limit)
+    monkeypatch.setattr(detection, "_exact", Tracked())
+    monkeypatch.setattr(detection, "_atleast", Tracked())
+    assert answers() == expected
+    assert peak[0] == limit  # the memo filled up, and was cleared before it grew past

@@ -360,3 +360,12 @@ def test_minimal_unique_matches_all_pairs_scan(masks):
     # neighbour unions contain both neighbours, and every other mask repeats
     family = masks + [a | b for a, b in zip(masks, masks[1:])] + masks[::2]
     assert _minimal_unique(family) == all_pairs_minimal(family)
+
+
+def test_layer_union_budget_counts_unions_tested():
+    ctx = GroupContext(6)
+    cert = max_cube_free_layer_unions(ctx, 3)
+    assert max_cube_free_layer_unions(ctx, 3, budget=cert.explored) == cert
+    with pytest.raises(CapacityError, match=f"budget of {cert.explored - 1} unions") as err:
+        max_cube_free_layer_unions(ctx, 3, budget=cert.explored - 1)
+    assert err.value.space_size == 64
