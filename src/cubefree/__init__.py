@@ -1,13 +1,11 @@
 """Exact search and verification toolkit for projective-cube-free subsets of Z_{2^n}."""
 
 from .construction import (
-    BlockVector,
     block_vector,
     construction_layers,
     construction_size,
     floor_log2,
     layered_construction,
-    reduce_dimension,
 )
 from .counting import (
     LayerProfile,
@@ -31,29 +29,22 @@ from .groups import (
     GeneratorMultiset,
     GroupContext,
     ResidueSet,
-    anti_centred_set,
     centred_set,
-    layer_of,
     layer_range_set,
     layer_set,
     residue_abs,
-    scale_multiset,
 )
 from .oracle import (
-    DichotomyVerdict,
     DisjointZeroCertificate,
     ExhaustionReport,
     ResidueCollection,
-    check_zero_sum_dichotomy,
     compress,
     compress_type1,
     compress_type2,
     compress_type3,
     disjoint_zero_sets,
-    half_sum_subset,
     max_disjoint_zero_sets,
     verify_zero_sum_dichotomy,
-    zero_sum_subset,
 )
 from .search import (
     SearchCertificate,
@@ -67,12 +58,7 @@ from .search import (
     union_max_dimension,
     validate_assignment,
 )
-from .sumsets import (
-    SumsetTrace,
-    incremental_sumset,
-    iterated_sumset,
-    projective_cube,
-)
+from .sumsets import projective_cube
 from .verify import CheckResult, run_checks
 
 __version__ = "0.1.0"

@@ -77,7 +77,7 @@ def _parse_set(spec: str, ctx: GroupContext) -> ResidueSet:
 def _cmd_construct(args, budget) -> tuple[Any, str]:
     ctx = GroupContext(args.n)
     built = layered_construction(args.d, ctx)
-    vector = list(block_vector(args.d).lengths) if args.d >= 2 else []
+    vector = list(block_vector(args.d)) if args.d >= 2 else []
     return {
         "set": built.members(),
         "block_vector": vector,

@@ -15,12 +15,8 @@ construction for the reduced dimension, embedded by multiplication with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CapacityError
 from .groups import GroupContext, ResidueSet, _layer_mask
-
-MIN_RUN_DIMENSION = 2
 
 
 def floor_log2(k: int) -> int:
@@ -30,54 +26,16 @@ def floor_log2(k: int) -> int:
     return k.bit_length() - 1
 
 
-def reduce_dimension(d: int) -> int:
-    """One recursion step: d - 2^floor_log2(d) + 1."""
-    if d < MIN_RUN_DIMENSION:
-        raise ValueError(f"dimension reduction requires d >= 2, got {d}")
-    return d - (1 << floor_log2(d)) + 1
-
-
-@dataclass(frozen=True)
-class BlockVector:
-    """Run-length description (len_1, ..., len_q) of the construction for d."""
-
-    lengths: tuple[int, ...]
-    d: int
-
-    def __post_init__(self):
-        if any(length < 2 for length in self.lengths):
-            raise ValueError("every block length must be at least 2")
-
-    @property
-    def total(self) -> int:
-        return sum(self.lengths)
-
-    def layer_runs(self) -> list[tuple[int, int]]:
-        """Included layer intervals [start, end], one per block."""
-        runs = []
-        start = 1
-        for length in self.lengths:
-            runs.append((start, start + length - 2))
-            start += length
-        return runs
-
-    def layer_indices(self) -> tuple[int, ...]:
-        out = []
-        for lo, hi in self.layer_runs():
-            out.extend(range(lo, hi + 1))
-        return tuple(out)
-
-
-def block_vector(d: int) -> BlockVector:
-    """Block vector of the construction for dimension d >= 2."""
-    if d < MIN_RUN_DIMENSION:
+def block_vector(d: int) -> tuple[int, ...]:
+    """Block vector (len_1, ..., len_q) of the construction for dimension d >= 2."""
+    if d < 2:
         raise ValueError(f"block vector requires d >= 2, got {d}")
     lengths = []
-    remaining = d
-    while remaining != 1:
-        lengths.append(floor_log2(remaining) + 1)
-        remaining = reduce_dimension(remaining)
-    return BlockVector(tuple(lengths), d)
+    while d != 1:
+        e = floor_log2(d)
+        lengths.append(e + 1)
+        d -= (1 << e) - 1
+    return tuple(lengths)
 
 
 def construction_layers(d: int) -> tuple[int, ...]:
@@ -86,7 +44,12 @@ def construction_layers(d: int) -> tuple[int, ...]:
         raise ValueError(f"dimension must be positive, got {d}")
     if d == 1:
         return ()
-    return block_vector(d).layer_indices()
+    layers = []
+    start = 1
+    for length in block_vector(d):
+        layers.extend(range(start, start + length - 1))
+        start += length
+    return tuple(layers)
 
 
 def layered_construction(d: int, ctx: GroupContext) -> ResidueSet:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import GroupContext, ResidueSet, _layer_mask, mask_members, shift_mask
+from .groups import GroupContext, ResidueSet, _layer_mask, mask_members
 
 
 def count_schur_triples(A: ResidueSet) -> int:
@@ -44,18 +44,6 @@ class LayerProfile:
     def size_of(self, a: int) -> int:
         return self.sizes[a - 1]
 
-    @property
-    def top_layer(self) -> int:
-        """Largest a with a nonempty layer part; 0 for the empty set."""
-        for a in range(self.n + 1, 0, -1):
-            if self.sizes[a - 1]:
-                return a
-        return 0
-
-    @property
-    def total(self) -> int:
-        return sum(self.sizes)
-
 
 def layer_profile(A: ResidueSet) -> LayerProfile:
     n = A.ctx.n
@@ -83,8 +71,8 @@ class LayerTripleCounts:
 
 def count_triples_by_layer(A: ResidueSet) -> dict[int, LayerTripleCounts]:
     """Triple counts per layer a in [1, n]; totals ST(A) when 0 is not in A."""
-    ctx = A.ctx
-    n = ctx.n
+    n = A.ctx.n
+    size = A.ctx.modulus
     amask = A.mask
     suffix_masks = {}
     above = 0
@@ -95,13 +83,16 @@ def count_triples_by_layer(A: ResidueSet) -> dict[int, LayerTripleCounts]:
     for a in range(1, n + 1):
         sa = amask & _layer_mask(n, a)
         s_plus = amask & suffix_masks[a]
+        # bit y < 2^n of doubled >> x is set iff y + x (mod 2^n) lies in the set
+        sa_doubled = sa | sa << size
+        s_plus_doubled = s_plus | s_plus << size
         sum_above = 0
         middle_above = 0
         for x in mask_members(sa):
             # y in L_a with x + y above a
-            sum_above += (s_plus & shift_mask(sa, x, ctx)).bit_count()
+            sum_above += (sa & (s_plus_doubled >> x)).bit_count()
             # y above a with x + y back in L_a
-            middle_above += (sa & shift_mask(s_plus, x, ctx)).bit_count()
+            middle_above += (s_plus & (sa_doubled >> x)).bit_count()
         # x above a with x + y in L_a is the same count, by symmetry of x and y
         result[a] = LayerTripleCounts(sum_above, middle_above, middle_above)
     return result

@@ -25,7 +25,8 @@ Two sound caps bound the recursion when 0 is not in D:
 * zero-sum cap -- if every element of D has 2-adic valuation in
   [j-1, t-1], then among any 2^(t-j+1) generators some nonempty subset sum
   is divisible by 2^t and cannot lie in D, so maxdim(D) <= 2^(t-j+1) - 1.
-  (Both facts are exercised independently by the zero-sum oracle module.)
+  (tests/test_sumsets.py::test_stalled_step_contains_generated_subgroup and
+  tests/test_detection.py::test_zero_sum_cap_premise check both premises.)
 
 Symmetry prunes generators.  Suppose every odd lam = 1 (mod 2^k) fixes D.
 Then lam (D & (D - g)) = D & (D - lam g), so g and lam g give children of
@@ -59,10 +60,6 @@ class CubeWitness:
 
     generators: GeneratorMultiset
     cube: ResidueSet
-
-    @property
-    def d(self) -> int:
-        return len(self.generators)
 
     @classmethod
     def build(cls, generators: GeneratorMultiset, within: ResidueSet) -> "CubeWitness":

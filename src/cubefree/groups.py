@@ -6,8 +6,9 @@ set iff residue x belongs to the set), which keeps the shift/union/
 intersection primitives used by the exhaustive checks cheap.
 
 The mask kernels live here and nowhere else: ``shift_mask`` (the translate
-A + c), ``subset_sums`` (the fold behind iterated sumsets and half-sum
-tests) and ``scale_mask`` (the dilate lam * A, odd scaling in particular).
+A + c, the fold step of ``cube_mask``), ``subset_sums`` (the fold behind
+collection sumsets and half-sum tests) and ``scale_mask`` (the dilate
+lam * A, odd scaling in particular).
 Detection and counting read each translate A - x off the doubled mask
 A | A << 2^n with one right shift instead.
 
@@ -149,14 +150,6 @@ class ResidueSet:
     def complement(self) -> "ResidueSet":
         return ResidueSet(self.ctx, self.ctx.full_mask & ~self.mask)
 
-    def shifted(self, c: int) -> "ResidueSet":
-        """The translate {x + c : x in self}."""
-        return ResidueSet(self.ctx, shift_mask(self.mask, c, self.ctx))
-
-    def scaled(self, lam: int) -> "ResidueSet":
-        """The dilate {lam * x : x in self} (any integer lam)."""
-        return ResidueSet(self.ctx, scale_mask(self.mask, lam, self.ctx.modulus))
-
     def issubset(self, other: "ResidueSet") -> bool:
         self._check_ctx(other)
         return self.mask & ~other.mask == 0
@@ -190,14 +183,6 @@ class GeneratorMultiset:
         return len(self.elements)
 
 
-def scale_multiset(lam: int, gens: GeneratorMultiset) -> GeneratorMultiset:
-    """Multiply every generator by an odd unit lam, re-sorting the result."""
-    if lam % 2 == 0:
-        raise ValueError(f"scaling factor must be odd, got {lam}")
-    size = gens.ctx.modulus
-    return GeneratorMultiset.of(gens.ctx, (lam * a % size for a in gens.elements))
-
-
 @lru_cache(maxsize=None)
 def _layer_mask(n: int, i: int) -> int:
     if i == n + 1:
@@ -206,15 +191,6 @@ def _layer_mask(n: int, i: int) -> int:
     step = 1 << i
     # bits at the multiples of 2^i, shifted up to start at 2^(i-1)
     return ((1 << size) - 1) // ((1 << step) - 1) << (1 << (i - 1))
-
-
-def layer_of(x: int, ctx: GroupContext) -> int:
-    """The index i with x in L_i; layer_of(0) = n + 1 by convention."""
-    if not 0 <= x < ctx.modulus:
-        raise RangeError(f"residue {x} outside [0, {ctx.modulus - 1}]")
-    if x == 0:
-        return ctx.n + 1
-    return (x & -x).bit_length()  # 2-adic valuation + 1
 
 
 def layer_set(i: int, ctx: GroupContext) -> ResidueSet:
@@ -236,11 +212,16 @@ def layer_range_set(a: int, b: int, ctx: GroupContext) -> ResidueSet:
     return ResidueSet(ctx, mask)
 
 
-def _fill_layers(layer_order: list[int], m: int, ctx: GroupContext) -> ResidueSet:
-    # Full layers in the given order, then the numerically smallest residues
-    # of the first partial layer.
+def centred_set(m: int, ctx: GroupContext) -> ResidueSet:
+    """Canonical centred set of size m: largest layers first.
+
+    Full layers L_1, L_2, ... while they fit, then the numerically smallest
+    residues of the first layer that does not.
+    """
+    if not 0 <= m <= ctx.modulus:
+        raise RangeError(f"cardinality {m} outside [0, {ctx.modulus}]")
     mask = 0
-    for i in layer_order:
+    for i in range(1, ctx.n + 2):
         if m == 0:
             break
         layer = _layer_mask(ctx.n, i)
@@ -255,20 +236,6 @@ def _fill_layers(layer_order: list[int], m: int, ctx: GroupContext) -> ResidueSe
                 if m == 0:
                     break
     return ResidueSet(ctx, mask)
-
-
-def centred_set(m: int, ctx: GroupContext) -> ResidueSet:
-    """Canonical centred set of size m: largest layers first."""
-    if not 0 <= m <= ctx.modulus:
-        raise RangeError(f"cardinality {m} outside [0, {ctx.modulus}]")
-    return _fill_layers(list(range(1, ctx.n + 2)), m, ctx)
-
-
-def anti_centred_set(m: int, ctx: GroupContext) -> ResidueSet:
-    """Canonical anti-centred set of size m: smallest layers first."""
-    if not 0 <= m <= ctx.modulus:
-        raise RangeError(f"cardinality {m} outside [0, {ctx.modulus}]")
-    return _fill_layers(list(range(ctx.n + 1, 0, -1)), m, ctx)
 
 
 def residue_abs(t: int, k: int) -> int:

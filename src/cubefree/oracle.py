@@ -16,12 +16,11 @@ explicitly because the interesting applications choose them.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Iterable, Sequence
 
-from .errors import CapacityError, InapplicableCompressionError
+from .errors import CapacityError, InapplicableCompressionError, comb_within_budget
 from .groups import mask_members, residue_abs, subset_sums
 
 DEFAULT_INSTANCE_BUDGET = 100_000_000
@@ -76,52 +75,6 @@ class ResidueCollection:
     def sumset_mask(self) -> int:
         """Bit mask of all subset sums (the empty sum included)."""
         return subset_sums(self.elements, self.modulus)
-
-
-def zero_sum_subset(xs: Sequence[int], m: int) -> frozenset[int]:
-    """Indices of a nonempty subset of xs whose sum is divisible by m.
-
-    Uses the prefix-sum pigeonhole: among the first m + 1 prefix sums two
-    agree modulo m, so some contiguous run of xs sums to 0 (mod m).
-    Requires len(xs) >= m, which guarantees existence.
-    """
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
-    if len(xs) < m:
-        raise ValueError(f"need at least {m} values, got {len(xs)}")
-    seen = {0: 0}  # prefix value -> prefix length
-    total = 0
-    for j, x in enumerate(xs, start=1):
-        total = (total + x) % m
-        if total in seen:
-            return frozenset(range(seen[total], j))
-        seen[total] = j
-    raise AssertionError("pigeonhole failed; unreachable")
-
-
-def half_sum_subset(C: ResidueCollection) -> frozenset[int] | None:
-    """Indices of a sub-collection summing to 2^k modulo 2^(k+1), or None.
-
-    Exhaustive subset-sum reachability with parent tracking for witness
-    extraction.
-    """
-    mod = C.modulus
-    target = C.half
-    parents: dict[int, tuple[int, int] | None] = {0: None}
-    for idx, v in enumerate(C.elements):
-        for s in list(parents):
-            t = (s + v) % mod
-            if t not in parents:
-                parents[t] = (idx, s)
-    if target not in parents:
-        return None
-    indices = []
-    node = target
-    while parents[node] is not None:
-        idx, prev = parents[node]
-        indices.append(idx)
-        node = prev
-    return frozenset(indices)
 
 
 def _zero_sum_index_masks(C: ResidueCollection) -> list[int]:
@@ -206,33 +159,6 @@ def max_disjoint_zero_sets(C: ResidueCollection) -> int:
 
 
 @dataclass(frozen=True)
-class DichotomyVerdict:
-    """Outcome of checking one collection against the zero-sum dichotomy."""
-
-    kind: str  # "half_sum" | "disjoint_zero" | "counterexample"
-    half_sum_indices: frozenset[int] | None = None
-    certificate: DisjointZeroCertificate | None = None
-
-
-def check_zero_sum_dichotomy(C: ResidueCollection) -> DichotomyVerdict:
-    """Check that C has a half-modulus subset sum or x + 1 disjoint zero parts.
-
-    Here x = |C| - 2^k >= 0.  A "counterexample" verdict would refute the
-    dichotomy; it is never expected to occur.
-    """
-    x = len(C.elements) - (1 << C.k)
-    if x < 0:
-        raise ValueError(f"collection must have at least 2^k = {1 << C.k} elements")
-    witness = half_sum_subset(C)
-    if witness is not None:
-        return DichotomyVerdict("half_sum", half_sum_indices=witness)
-    certificate = disjoint_zero_sets(C, x + 1)
-    if certificate is not None:
-        return DichotomyVerdict("disjoint_zero", certificate=certificate)
-    return DichotomyVerdict("counterexample")
-
-
-@dataclass(frozen=True)
 class ExhaustionReport:
     k: int
     x: int
@@ -256,11 +182,7 @@ def verify_zero_sum_dichotomy(k: int, x: int, budget: int = DEFAULT_INSTANCE_BUD
         raise ValueError("need k >= 1 and x >= 0")
     count = (1 << k) + x
     size = 1 << (k + 1)
-    space = math.comb(size - 2 + count, count)
-    if space > budget:
-        raise CapacityError(
-            f"{space} multisets exceed the budget of {budget}", space_size=space
-        )
+    space = comb_within_budget(size - 2 + count, count, budget, "multisets")
     target_bit = 1 << (1 << k)
     checked = 0
     half_sums = 0

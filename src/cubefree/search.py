@@ -24,7 +24,6 @@ cube-freeness predicate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement
@@ -32,7 +31,7 @@ from itertools import combinations, combinations_with_replacement
 from .construction import construction_layers, layered_construction
 from .counting import count_schur_triples
 from .detection import find_degenerate_3cube, is_cube_free, max_cube_dimension
-from .errors import CapacityError
+from .errors import CapacityError, comb_within_budget
 from .groups import GroupContext, ResidueSet, _layer_mask, mask_members
 from .sumsets import cube_mask
 
@@ -89,12 +88,7 @@ def cube_constraint_masks(ctx: GroupContext, d: int, budget: int | None = None) 
         raise ValueError(f"cube dimension must be positive, got {d}")
     budget = DEFAULT_ENUM_BUDGET if budget is None else budget
     size = ctx.modulus
-    space = math.comb(size + d - 1, d)
-    if space > budget:
-        raise CapacityError(
-            f"{space} generator multisets exceed the budget of {budget}",
-            space_size=space,
-        )
+    comb_within_budget(size + d - 1, d, budget, "generator multisets")
     seen: set[int] = set()
     for combo in combinations_with_replacement(range(size), d):
         seen.add(cube_mask(combo, ctx))
@@ -297,12 +291,7 @@ def min_schur_exhaustive(
     if not 0 <= m <= size:
         raise ValueError(f"cardinality {m} outside [0, {size}]")
     budget = DEFAULT_COMBO_BUDGET if combo_budget is None else combo_budget
-    space = math.comb(size, m)
-    if space > budget:
-        raise CapacityError(
-            f"{space} subsets of size {m} exceed the budget of {budget}",
-            space_size=space,
-        )
+    comb_within_budget(size, m, budget, f"subsets of size {m}")
     maps = _odd_scaling_maps(ctx.n) if symmetry else None
     best = None
     best_mask = 0

@@ -1,16 +1,14 @@
-"""Projective cubes and iterated sumsets.
+"""Projective cubes.
 
 The projective cube of a multiset S = {a_1, ..., a_d} is the set of all
-nonempty-subset sums of S (modulo 2^n); the iterated sumset additionally
-contains 0 (the empty sum).  Both are computed by incremental shift-union
-folding over a bit mask: introducing a generator a maps the current sum set
-P to P | (P + a) | {a}.  Explicit subset enumeration is kept as a test
-oracle only.
+nonempty-subset sums of S (modulo 2^n).  It is computed by incremental
+shift-union folding over a bit mask: introducing a generator a maps the
+current sum set P to P | (P + a) | {a}.  Explicit subset enumeration is
+kept as a test oracle only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .groups import GeneratorMultiset, GroupContext, ResidueSet, shift_mask
@@ -29,46 +27,3 @@ def projective_cube(gens: GeneratorMultiset) -> ResidueSet:
     if not gens.elements:
         raise ValueError("projective cube requires at least one generator")
     return ResidueSet(gens.ctx, cube_mask(gens.elements, gens.ctx))
-
-
-def iterated_sumset(gens: GeneratorMultiset) -> ResidueSet:
-    """All subset sums including the empty one; equals {0} for an empty multiset."""
-    return ResidueSet(gens.ctx, cube_mask(gens.elements, gens.ctx) | 1)
-
-
-@dataclass(frozen=True)
-class SumsetTrace:
-    """Growth record of an iterated sumset built one generator at a time.
-
-    prefix_sizes[i] is the size of the iterated sumset after i+1 generators;
-    growth[i] counts the elements the (i+1)'st generator added.  A zero
-    growth step means the sumset already contained the cyclic subgroup
-    generated by the introduced element (so in particular 2^(n-1) and 0).
-    """
-
-    prefix_sizes: tuple[int, ...]
-    growth: tuple[int, ...]
-
-
-def incremental_sumset(gens: GeneratorMultiset, order: Sequence[int] | None = None) -> SumsetTrace:
-    """Trace iterated-sumset sizes under the given introduction order.
-
-    ``order`` is a permutation of the multiset's positions; it defaults to
-    the canonical sorted order.
-    """
-    k = len(gens.elements)
-    if order is None:
-        order = tuple(range(k))
-    if sorted(order) != list(range(k)):
-        raise ValueError(f"order {order!r} is not a permutation of range({k})")
-    ctx = gens.ctx
-    sizes = []
-    growth = []
-    mask = 1  # empty sum
-    for pos in order:
-        a = gens.elements[pos]
-        new = mask | shift_mask(mask, a, ctx)
-        growth.append((new & ~mask).bit_count())
-        mask = new
-        sizes.append(mask.bit_count())
-    return SumsetTrace(tuple(sizes), tuple(growth))

@@ -79,7 +79,7 @@ def check_construction_table(level: str, rng: random.Random) -> CheckResult:
             failures.append(f"d={d}: construction differs from the tabled layers {layers}")
         if construction.construction_layers(d) != layers:
             failures.append(f"d={d}: layer indices {construction.construction_layers(d)}")
-    if construction.block_vector(26).lengths != (5, 4, 3):
+    if construction.block_vector(26) != (5, 4, 3):
         failures.append("block vector of d=26")
     return _result("construction_table", start, failures,
                    f"{len(TABLE_ROWS)} tabled rows compared at n=12")

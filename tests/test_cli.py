@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -139,6 +140,41 @@ def test_verify_claims_smoke_command(capsys):
     assert payload["status"] == "ok"
     names = [c["name"] for c in payload["result"]["checks"]]
     assert names == ["construction_table", "max_cube_free_d2"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-lemma", "--k", "12", "--x", "0"),
+    ("verify-lemma", "--k", "16", "--x", "0"),
+    ("verify-lemma", "--k", "20", "--x", "0"),
+    ("verify-lemma", "--k", "22", "--x", "0"),
+    ("max-search", "--n", "21", "--d", "5000"),
+    ("min-schur", "--n", "21", "--m", "5000"),
+    ("min-schur", "--n", "21", "--m", "1000000"),
+])
+def test_astronomical_enumeration_space_exits_two_at_once(argv):
+    # the space has thousands to millions of digits; it is never spelled out
+    start = time.perf_counter()
+    code, report = run_cli(*argv)
+    assert time.perf_counter() - start < 2.0
+    assert code == 2 and report.status == "budget_exceeded"
+    assert report.result["space_size"] is None
+    assert report.result["error"].startswith("more than 2^64 ")
+    assert len(report.to_json()) < 1000
+
+
+def test_enumeration_space_exact_up_to_64_bits():
+    # C(128, 15) < 2^64 < C(128, 16) subsets of Z_{2^7}
+    code, report = run_cli("min-schur", "--n", "7", "--m", "15")
+    assert code == 2 and report.result["space_size"] == 13216710966550396800
+    assert report.result["error"] == \
+        "13216710966550396800 subsets of size 15 exceed the budget of 1000000"
+    for budget in ("1000000", "93343021201262177399"):  # C(128, 16) - 1
+        code, report = run_cli("min-schur", "--n", "7", "--m", "16", "--budget", budget)
+        assert code == 2 and report.result["space_size"] is None
+    code, report = run_cli("min-schur", "--n", "3", "--m", "4", "--budget", "70")
+    assert code == 0  # C(8, 4) = 70 sets are within the budget
+    code, report = run_cli("min-schur", "--n", "3", "--m", "4", "--budget", "69")
+    assert code == 2 and report.result["space_size"] == 70
 
 
 def test_verify_lemma_command():

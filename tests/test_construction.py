@@ -6,7 +6,6 @@ from cubefree.construction import (
     construction_size,
     floor_log2,
     layered_construction,
-    reduce_dimension,
 )
 from cubefree.errors import CapacityError
 from cubefree.groups import GroupContext, ResidueSet, layer_range_set, layer_set
@@ -41,19 +40,11 @@ def test_floor_log2():
         floor_log2(0)
 
 
-def test_reduce_dimension():
-    assert reduce_dimension(26) == 11
-    assert reduce_dimension(11) == 4
-    assert reduce_dimension(4) == 1
-    with pytest.raises(ValueError):
-        reduce_dimension(1)
-
-
 def test_block_vector_examples():
-    assert block_vector(26).lengths == (5, 4, 3)
-    assert block_vector(2).lengths == (2,)
-    assert block_vector(6).lengths == (3, 2, 2)
-    assert block_vector(26).total == 12
+    assert block_vector(26) == (5, 4, 3)
+    assert block_vector(2) == (2,)
+    assert block_vector(6) == (3, 2, 2)
+    assert sum(block_vector(26)) == 12
     with pytest.raises(ValueError):
         block_vector(1)
 
@@ -98,7 +89,7 @@ def test_power_of_two_sizes():
 
 def test_recursion_matches_block_vector_rebuild():
     for d in range(2, 65):
-        n = block_vector(d).total - 1
+        n = sum(block_vector(d)) - 1
         ctx = GroupContext(n)
         assert layered_construction(d, ctx).mask == recursive_construction(d, ctx).mask
 

@@ -13,9 +13,8 @@ from cubefree.counting import (
 from cubefree.groups import (
     GroupContext,
     ResidueSet,
-    anti_centred_set,
     centred_set,
-    layer_of,
+    layer_range_set,
     layer_set,
 )
 
@@ -67,10 +66,8 @@ def test_count_matches_naive_property(case):
 def test_layer_profile(ctx3):
     p = layer_profile(centred_set(5, ctx3))
     assert p.sizes == (4, 1, 0, 0)
-    assert p.top_layer == 2
     assert layer_profile(ResidueSet.full(ctx3)).sizes == (4, 2, 1, 1)
     assert layer_profile(ResidueSet.empty(ctx3)).sizes == (0, 0, 0, 0)
-    assert layer_profile(ResidueSet.empty(ctx3)).top_layer == 0
 
 
 def test_triples_by_layer_example(ctx3):
@@ -96,12 +93,41 @@ def test_decomposition_identity_exhaustive():
                 count_schur_triples(A)
 
 
+def naive_triples_by_layer(A):
+    """Classify every Schur triple by the layers of x, y and z = x + y."""
+    n, size = A.ctx.n, A.ctx.modulus
+    counts = {a: [0, 0, 0] for a in range(1, n + 1)}
+    for x in A:
+        for y in A:
+            z = (x + y) % size
+            if z in A:
+                lx, ly, lz = ((v & -v).bit_length() or n + 1 for v in (x, y, z))
+                if lx == ly < lz:
+                    counts[lx][0] += 1
+                elif lx == lz < ly:
+                    counts[lx][1] += 1
+                elif ly == lz < lx:
+                    counts[ly][2] += 1
+    return counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))))
+def test_triples_by_layer_matches_naive_classification(case):
+    n, mask = case
+    A = ResidueSet(GroupContext(n), mask)
+    got = {a: [c.sum_above, c.middle_above, c.first_above]
+           for a, c in count_triples_by_layer(A).items()}
+    assert got == naive_triples_by_layer(A)
+
+
 def test_no_triple_spans_three_layers(ctx3):
     size = ctx3.modulus
     for x in range(size):
         for y in range(size):
             z = (x + y) % size
-            layers = {layer_of(x, ctx3), layer_of(y, ctx3), layer_of(z, ctx3)}
+            layers = {(v & -v).bit_length() for v in (x, y, z)}  # valuation + 1; 0 for 0
             assert len(layers) <= 2, (x, y, z)
             if len(layers) == 1:
                 assert x == y == z == 0
@@ -151,7 +177,7 @@ def test_anti_centred_subgroup_triples():
         ctx = GroupContext(n)
         for ell in range(1, n):
             m = 1 << (n - ell)
-            assert count_schur_triples(anti_centred_set(m, ctx)) == m * m
+            assert count_schur_triples(layer_range_set(ell + 1, n + 1, ctx)) == m * m
 
 
 def test_profile_mismatch_rejected(ctx3, ctx4):

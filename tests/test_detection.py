@@ -17,7 +17,7 @@ from cubefree.detection import (
     is_cube_free,
     max_cube_dimension,
 )
-from cubefree.groups import GeneratorMultiset, GroupContext, ResidueSet, layer_set
+from cubefree.groups import GeneratorMultiset, GroupContext, ResidueSet, layer_range_set, layer_set
 from cubefree.search import max_cube_free_layer_unions
 from cubefree.sumsets import cube_mask, projective_cube
 
@@ -166,6 +166,31 @@ def test_degenerate_3cube_on_dense_sets(rng):
         members = rng.sample(range(16), rng.randint(threshold + 1, 16))
         A = ResidueSet.from_members(ctx, members)
         assert find_degenerate_3cube(A) is not None
+
+
+@st.composite
+def cap_premise_cases(draw):
+    """(n, t, elements): 2^(t-j+1) residues of Z_{2^n} with valuations in [j-1, t-1]."""
+    n = draw(st.integers(1, 5))
+    t = draw(st.integers(1, n))
+    j = draw(st.integers(1, t))
+    valuations = draw(st.lists(st.integers(j - 1, t - 1),
+                               min_size=1 << (t - j + 1), max_size=1 << (t - j + 1)))
+    elements = [(2 * draw(st.integers(0, (1 << (n - v - 1)) - 1)) + 1) << v for v in valuations]
+    return n, t, elements
+
+
+@settings(max_examples=300, deadline=None)
+@given(cap_premise_cases())
+@example((5, 5, [1] * 32))
+@example((4, 3, [2, 6, 10, 14]))
+def test_zero_sum_cap_premise(case):
+    # the premise of the zero-sum cap in _maxdim: such a multiset always has
+    # a nonempty subset sum divisible by 2^t, so no set avoiding the multiples
+    # of 2^t holds its cube
+    n, t, elements = case
+    ctx = GroupContext(n)
+    assert cube_mask(elements, ctx) & layer_range_set(t + 1, n + 1, ctx).mask
 
 
 def _stabilizer_orbits(n, k):

@@ -7,32 +7,16 @@ from hypothesis import strategies as st
 from cubefree.errors import RangeError
 from cubefree.groups import (
     MAX_N,
-    GeneratorMultiset,
     GroupContext,
     ResidueSet,
-    anti_centred_set,
     centred_set,
-    layer_of,
     layer_range_set,
     layer_set,
     residue_abs,
     scale_mask,
-    scale_multiset,
+    shift_mask,
     subset_sums,
 )
-
-
-def test_layer_of_examples(ctx3):
-    assert layer_of(5, ctx3) == 1
-    assert layer_of(0, ctx3) == 4
-    assert layer_of(6, ctx3) == 2
-
-
-def test_layer_of_range_error(ctx3):
-    with pytest.raises(RangeError):
-        layer_of(8, ctx3)
-    with pytest.raises(RangeError):
-        layer_of(-1, ctx3)
 
 
 def test_layer_set_examples(ctx3):
@@ -70,19 +54,22 @@ def test_layer_halving():
 
 
 def test_layer_of_matches_layer_set():
+    # the layer of x != 0 is its 2-adic valuation plus one
     for n in range(1, 13):
         ctx = GroupContext(n)
-        for i in range(1, n + 2):
+        for i in range(1, n + 1):
             for x in layer_set(i, ctx):
-                assert layer_of(x, ctx) == i
+                assert (x & -x).bit_length() == i
+        assert layer_set(n + 1, ctx).members() == [0]
 
 
 def test_odd_scaling_preserves_layers():
     for n in range(1, 11):
         ctx = GroupContext(n)
         for lam in range(1, ctx.modulus, 2):
-            for x in range(ctx.modulus):
-                assert layer_of(lam * x % ctx.modulus, ctx) == layer_of(x, ctx)
+            for i in range(1, n + 2):
+                layer = layer_set(i, ctx).mask
+                assert scale_mask(layer, lam, ctx.modulus) == layer
 
 
 def test_centred_examples(ctx3):
@@ -104,30 +91,6 @@ def test_centred_nesting():
             previous = mask
 
 
-def test_anti_centred_examples(ctx3):
-    assert anti_centred_set(1, ctx3).members() == [0]
-    assert anti_centred_set(2, ctx3).members() == [0, 4]
-
-
-def test_anti_centred_power_sizes():
-    for n in range(2, 9):
-        ctx = GroupContext(n)
-        for ell in range(1, n):
-            m = 1 << (n - ell)
-            got = anti_centred_set(m, ctx)
-            expected = layer_range_set(ell + 1, n + 1, ctx)
-            assert got.mask == expected.mask
-
-
-def test_scale_multiset(ctx3):
-    gens = GeneratorMultiset.of(ctx3, (1, 1, 2))
-    assert scale_multiset(1, gens).elements == (1, 1, 2)
-    assert scale_multiset(3, gens).elements == (3, 3, 6)
-    assert scale_multiset(7, GeneratorMultiset.of(ctx3, (1,))).elements == (7,)
-    with pytest.raises(ValueError):
-        scale_multiset(2, gens)
-
-
 def test_residue_abs():
     assert residue_abs(7, 2) == 1
     assert residue_abs(4, 2) == 4
@@ -144,8 +107,8 @@ def test_residue_set_operations(ctx3):
     assert (a & b).members() == [3]
     assert (a - b).members() == [1, 2]
     assert a.complement().members() == [0, 4, 5, 6, 7]
-    assert a.shifted(6).members() == [0, 1, 7]
-    assert a.scaled(3).members() == [1, 3, 6]
+    assert ResidueSet(ctx3, shift_mask(a.mask, 6, ctx3)).members() == [0, 1, 7]
+    assert ResidueSet(ctx3, scale_mask(a.mask, 3, 8)).members() == [1, 3, 6]
     assert ResidueSet.from_members(ctx3, [-1]).members() == [7]
     assert len(a) == 3 and 2 in a and 5 not in a
 

@@ -5,16 +5,13 @@ from hypothesis import strategies as st
 from cubefree.errors import CapacityError, InapplicableCompressionError
 from cubefree.oracle import (
     ResidueCollection,
-    check_zero_sum_dichotomy,
     compress,
     compress_type1,
     compress_type2,
     compress_type3,
     disjoint_zero_sets,
-    half_sum_subset,
     max_disjoint_zero_sets,
     verify_zero_sum_dichotomy,
-    zero_sum_subset,
 )
 
 
@@ -52,34 +49,6 @@ collections = st.integers(1, 3).flatmap(
         lambda xs: ResidueCollection.of(k, xs)))
 
 
-def test_zero_sum_subset_examples():
-    assert zero_sum_subset([1, 1, 1], 3) == {0, 1, 2}
-    assert zero_sum_subset([2, 3], 2) == {0}
-    idx = zero_sum_subset([1, 3, 5, 7], 4)
-    assert idx and sum([1, 3, 5, 7][i] for i in idx) % 4 == 0
-    with pytest.raises(ValueError):
-        zero_sum_subset([1, 2], 3)
-
-
-def test_zero_sum_subset_always_contiguous(rng):
-    for _ in range(300):
-        m = rng.randint(1, 12)
-        xs = [rng.randint(-20, 20) for _ in range(rng.randint(m, m + 6))]
-        idx = sorted(zero_sum_subset(xs, m))
-        assert idx == list(range(idx[0], idx[-1] + 1))
-        assert sum(xs[i] for i in idx) % m == 0
-
-
-def test_half_sum_subset():
-    c = ResidueCollection.of(1, [2, 2])
-    assert half_sum_subset(c) == {0}
-    assert half_sum_subset(ResidueCollection.of(2, [1, 7])) is None
-    found = half_sum_subset(ResidueCollection.of(2, [1, 1, 1, 1, 3, 5, 7]))
-    assert found is not None
-    elements = ResidueCollection.of(2, [1, 1, 1, 1, 3, 5, 7]).elements
-    assert sum(elements[i] for i in found) % 8 == 4
-
-
 def test_collection_validation():
     with pytest.raises(ValueError):
         ResidueCollection.of(2, [0, 1])
@@ -113,16 +82,6 @@ def test_disjoint_zero_parts_match_reference(C):
         cert = disjoint_zero_sets(C, m)
         assert cert is not None and len(cert.parts) == m and cert.verify(C)
     assert disjoint_zero_sets(C, best + 1) is None
-
-
-def test_dichotomy_instances():
-    v = check_zero_sum_dichotomy(ResidueCollection.of(1, [2, 2]))
-    assert v.kind == "half_sum"
-    v = check_zero_sum_dichotomy(ResidueCollection.of(1, [1, 3]))
-    assert v.kind == "disjoint_zero"
-    assert v.certificate.verify(ResidueCollection.of(1, [1, 3]))
-    with pytest.raises(ValueError):
-        check_zero_sum_dichotomy(ResidueCollection.of(2, [1, 2]))
 
 
 def test_verify_dichotomy_small():
