@@ -1,7 +1,8 @@
 """Command-line interface: JSON reports on stdout, diagnostics on stderr.
 
 Exit codes: 0 for a clean run, 1 when a verification check found a
-counterexample, 2 for usage or capacity errors.  The environment variable
+counterexample, 2 for usage or capacity errors and for any other failure,
+which prints one ``error: <Type>: <message>`` line.  The environment variable
 CUBEFREE_BUDGET overrides the default search budgets.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -36,6 +38,8 @@ STATUS_OK = "ok"
 STATUS_COUNTEREXAMPLE = "counterexample"
 STATUS_BUDGET = "budget_exceeded"
 
+_INLINE_SET = re.compile(r"[0-9,\s-]*")
+
 
 @dataclass
 class RunReport:
@@ -60,17 +64,20 @@ def _env_budget() -> int | None:
 
 
 def _parse_set(spec: str, ctx: GroupContext) -> ResidueSet:
-    """Inline comma list, or a path to a JSON array of residues."""
-    path = Path(spec)
-    if path.exists():
-        members = json.loads(path.read_text())
+    """Inline comma list, or a path to a JSON array of residues.
+
+    A spec of digits, commas, minus signs and whitespace alone is an inline
+    list; it is never looked up as a path, which may be too long to name.
+    """
+    if _INLINE_SET.fullmatch(spec) or not Path(spec).exists():
+        members = [int(tok) for tok in spec.split(",") if tok.strip()]
+    else:
+        members = json.loads(Path(spec).read_text())
         if not isinstance(members, list):
             raise ValueError(f"{spec}: expected a JSON array of residues")
         for x in members:
             if not isinstance(x, int) or isinstance(x, bool):
                 raise ValueError(f"{spec}: residues must be integers, got {x!r}")
-    else:
-        members = [int(tok) for tok in spec.split(",") if tok.strip()]
     return ResidueSet.from_members(ctx, members)
 
 
@@ -288,6 +295,9 @@ def run(argv: list[str] | None = None) -> tuple[int, RunReport | None]:
         return 2, None
     except MemoryError:
         print(f"error: {args.command} ran out of memory", file=sys.stderr)
+        return 2, None
+    except Exception as exc:  # the CLI boundary: one line, never a traceback
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2, None
     report = RunReport(args.command, parameters, result, status,
                        (time.perf_counter() - start) * 1000.0)

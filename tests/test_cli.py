@@ -44,6 +44,25 @@ def test_count_st_command():
     assert report.result["by_layer"]["1"]["sum_above"] == 4
 
 
+def naive_schur_triples(members, modulus):
+    chosen = set(members)
+    return sum(1 for x in chosen for y in chosen if (x + y) % modulus in chosen)
+
+
+def test_count_st_reads_inline_lists_longer_than_a_file_name(tmp_path):
+    # 128 residues spell a 457-character spec, past the 255-byte name limit
+    evens = list(range(0, 256, 2))
+    code, report = run_cli("count-st", "--n", "8", "--set", ",".join(map(str, evens)))
+    assert code == 0 and report.result["st"] == naive_schur_triples(evens, 256) == 128 ** 2
+    spaced = [1, 3, 4, 250]
+    code, report = run_cli("count-st", "--n", "8", "--set", " 1, 3 ,4, -6 ")
+    assert code == 0 and report.result["st"] == naive_schur_triples(spaced, 256)
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(evens))
+    code, report = run_cli("count-st", "--n", "8", "--set", str(path))
+    assert code == 0 and report.result["st"] == 128 ** 2
+
+
 def test_min_schur_command_and_budget():
     code, report = run_cli("min-schur", "--n", "3", "--m", "5")
     assert code == 0 and report.result["minimum"] == 12
@@ -219,13 +238,13 @@ def test_closed_stdout_keeps_exit_code_without_traceback():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     # the LP model at (5, 3) is about 100 kB, more than a pipe buffer holds
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "cubefree.cli", "max-search", "--n", "5", "--d", "3",
-         "--mode", "lp"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 0
+    with subprocess.Popen(
+            [sys.executable, "-m", "cubefree.cli", "max-search", "--n", "5", "--d", "3",
+             "--mode", "lp"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0
     assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
 
@@ -238,3 +257,16 @@ def test_memory_error_exits_two(monkeypatch, capsys):
     assert code == 2 and report is None
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "memory" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("solver state lost"),
+                                 AssertionError("search produced an invalid witness")])
+def test_unexpected_error_exits_two_with_one_line(monkeypatch, capsys, exc):
+    def failing(args, budget):
+        raise exc
+
+    monkeypatch.setitem(cli._HANDLERS, "max-search", failing)
+    code, report = run_cli("max-search", "--n", "3", "--d", "3")
+    assert code == 2 and report is None
+    err = capsys.readouterr().err
+    assert err == f"error: {type(exc).__name__}: {exc}\n"

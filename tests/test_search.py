@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -114,6 +117,116 @@ def test_exact_search_without_construction_seed():
     cert = max_cube_free_exact(GroupContext(4), 6)
     assert cert.optimum == 13
     assert is_cube_free(cert.witness, 6)
+
+
+def reference_bnb_max(size, masks, start_val, start_mask, forced_in, node_budget):
+    """The list-walk branch and bound that ``_bnb_max`` replaced: every node
+    scans the open constraints and rebuilds their list for each child."""
+    full = (1 << size) - 1
+    state = {"best_val": start_val, "best_mask": start_mask, "nodes": 0}
+    ordered = sorted(masks, key=lambda c: (c.bit_count(), c))
+
+    def rec(excluded, exc_count, forbidden, alive):
+        state["nodes"] += 1
+        if state["nodes"] > node_budget:
+            raise CapacityError(
+                f"branch-and-bound exceeded the node budget of {node_budget}"
+            )
+        if not alive:
+            val = size - exc_count
+            if val > state["best_val"]:
+                state["best_val"] = val
+                state["best_mask"] = full & ~excluded
+            return
+        limit = size - state["best_val"] - 1
+        packing = 0
+        used = 0
+        branch = None
+        branch_pc = size + 1
+        for c in alive:
+            cf = c & ~forbidden
+            if cf == 0:
+                return  # some cube can no longer be broken
+            if cf & used == 0:
+                packing += 1
+                used |= cf
+            pc = cf.bit_count()
+            if pc < branch_pc:
+                branch_pc = pc
+                branch = cf
+        if exc_count + packing > limit:
+            return
+        forb = forbidden
+        rest = branch
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            alive2 = [c for c in alive if not c & low]
+            rec(excluded | low, exc_count + 1, forb, alive2)
+            forb |= low
+    rec(0, 0, forced_in, ordered)
+    return state["best_val"], state["best_mask"], state["nodes"]
+
+
+@st.composite
+def constraint_families(draw):
+    """(size, masks in (bit count, value) order, forced_in, feasible start).
+
+    Up to 56 masks have 2-7 bits and up to 4 one bit: a one-bit mask only
+    rules its residue out, and many of them leave trees of a node or two.
+    The multi-bit masks come from a generator seeded by one draw: drawing
+    them residue by residue took ten times as long as both searches.
+    """
+    size = draw(st.integers(4, 16))
+    residues = st.integers(0, size - 1)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    family = [rng.sample(range(size), rng.randint(2, min(7, size)))
+              for _ in range(draw(st.integers(0, 56)))]
+    family += [[x] for x in draw(st.lists(residues, max_size=4))]
+    masks = sorted({sum(1 << x for x in s) for s in family},
+                   key=lambda c: (c.bit_count(), c))
+    forced_in = sum(1 << x for x in draw(st.frozensets(residues, max_size=3)))
+    start = draw(st.integers(0, (1 << size) - 1))
+    for c in masks:
+        if c & ~start == 0:
+            start &= ~(1 << (c.bit_length() - 1))
+    return size, masks, forced_in, start
+
+
+def brute_force_max_avoiding(size, masks, forced_in):
+    """Largest set holding forced_in and no mask, trying the sets by falling
+    size; -1 if there is none."""
+    free = [x for x in range(size) if not forced_in >> x & 1]
+    for k in range(len(free), -1, -1):
+        for extra in combinations(free, k):
+            chosen = forced_in | sum(1 << x for x in extra)
+            if all(c & ~chosen for c in masks):
+                return chosen.bit_count()
+    return -1
+
+
+@settings(max_examples=400, deadline=None)
+@given(constraint_families())
+def test_bitset_branch_and_bound_matches_list_walk(family):
+    size, masks, forced_in, start = family
+    args = (size, masks, start.bit_count(), start, forced_in)
+    val, mask, nodes = _bnb_max(*args, node_budget=10**6)
+    assert (val, mask, nodes) == reference_bnb_max(*args, node_budget=10**6)
+    assert mask.bit_count() == val and all(c & ~mask for c in masks)
+    if size <= 12:
+        assert val == max(start.bit_count(), brute_force_max_avoiding(size, masks, forced_in))
+    for search in (_bnb_max, reference_bnb_max):
+        with pytest.raises(CapacityError, match=f"node budget of {nodes - 1}$"):
+            search(*args, node_budget=nodes - 1)
+
+
+def test_search_trees_are_pinned():
+    # the optimum, and the node count that shows the tree is walked unchanged
+    for n, symmetry, optimum, explored in ((6, True, 40, 2504), (5, False, 20, 101),
+                                           (5, True, 20, 72)):
+        cert = max_cube_free_exact(GroupContext(n), 3, symmetry=symmetry)
+        assert (cert.optimum, cert.explored) == (optimum, explored)
+        assert len(cert.witness) == optimum and is_cube_free(cert.witness, 3)
 
 
 def test_exact_budget_errors():
