@@ -16,7 +16,7 @@ construction for the reduced dimension, embedded by multiplication with
 from __future__ import annotations
 
 from .errors import CapacityError
-from .groups import GroupContext, ResidueSet, _layer_mask
+from .groups import GroupContext, ResidueSet, _layer_masks
 
 
 def floor_log2(k: int) -> int:
@@ -66,9 +66,10 @@ def layered_construction(d: int, ctx: GroupContext) -> ResidueSet:
             f"construction for d={d} needs layers up to L_{top}, "
             f"but the group only has n={ctx.n}"
         )
+    masks = _layer_masks(ctx.n)
     mask = 0
     for i in layers:
-        mask |= _layer_mask(ctx.n, i)
+        mask |= masks[i - 1]
     return ResidueSet(ctx, mask)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import GroupContext, ResidueSet, _layer_mask, mask_members
+from .groups import GroupContext, ResidueSet, _layer_masks, mask_members
 
 
 def count_schur_triples(A: ResidueSet) -> int:
@@ -47,8 +47,7 @@ class LayerProfile:
 
 def layer_profile(A: ResidueSet) -> LayerProfile:
     n = A.ctx.n
-    sizes = tuple((A.mask & _layer_mask(n, i)).bit_count() for i in range(1, n + 2))
-    return LayerProfile(n, sizes)
+    return LayerProfile(n, tuple((A.mask & layer).bit_count() for layer in _layer_masks(n)))
 
 
 @dataclass(frozen=True)
@@ -74,15 +73,12 @@ def count_triples_by_layer(A: ResidueSet) -> dict[int, LayerTripleCounts]:
     n = A.ctx.n
     size = A.ctx.modulus
     amask = A.mask
-    suffix_masks = {}
-    above = 0
-    for a in range(n + 1, 0, -1):
-        suffix_masks[a] = above
-        above |= _layer_mask(n, a)
     result = {}
-    for a in range(1, n + 1):
-        sa = amask & _layer_mask(n, a)
-        s_plus = amask & suffix_masks[a]
+    below = 0  # L_1 | ... | L_a
+    for a, layer in enumerate(_layer_masks(n)[:n], 1):
+        below |= layer
+        sa = amask & layer
+        s_plus = amask & ~below
         # bit y < 2^n of doubled >> x is set iff y + x (mod 2^n) lies in the set
         sa_doubled = sa | sa << size
         s_plus_doubled = s_plus | s_plus << size

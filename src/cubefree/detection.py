@@ -17,7 +17,11 @@ of even residues halves into Z_{2^(n-1)}, and odd scaling is free
 (Sigma*(lam Y) = lam Sigma*Y), so the smallest odd element is normalized to
 1 before lookup.
 
-Two sound caps bound the recursion when 0 is not in D:
+Two sound caps bound the recursion when 0 is not in D.  Both come first,
+from the raw mask: |D| and the span top - low of the layers present do not
+change under halving or odd scaling.  Only a set whose capped value stays
+above 1 is normalized and looked up, so the caps decide most calls for the
+price of a few mask ANDs.
 
 * size cap -- each generator strictly shrinks D (a stalled step would put
   the cyclic subgroup generated by g, hence 0, inside D), so
@@ -50,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .groups import MAX_N, GeneratorMultiset, ResidueSet, _layer_mask, scale_mask
+from .groups import MAX_N, GeneratorMultiset, ResidueSet, _halve_even, _layer_masks, scale_mask
 from .sumsets import projective_cube
 
 
@@ -71,21 +75,32 @@ class CubeWitness:
         return cls(generators, cube)
 
 
+def _span_cap(mask: int, n: int) -> int:
+    """min(|D|, 2^(top-low+1) - 1) for D in layers L_low .. L_top; the size and zero-sum caps.
+
+    Requires a nonzero mask without bit 0.  Halving and odd scaling keep
+    |D| and top - low, so the cap is read off the raw mask.
+    """
+    layers = _layer_masks(n)
+    low = 0
+    while not mask & layers[low]:
+        low += 1
+    top = n - 1
+    while not mask & layers[top]:
+        top -= 1
+    return min(mask.bit_count(), (2 << (top - low)) - 1)
+
+
 def _normalize(mask: int, n: int) -> tuple[int, int]:
     """Halve all-even sets and scale the smallest odd element to 1.
 
     Requires a nonzero mask without bit 0.  Both steps preserve maxdim.
     """
-    while not mask & _layer_mask(n, 1):
-        halved = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            halved |= 1 << ((low.bit_length() - 1) >> 1)
-        mask = halved
+    odd_bits = mask & _layer_masks(n)[0]
+    while not odd_bits:
+        mask = _halve_even(mask, n)
         n -= 1
-    odd_bits = mask & _layer_mask(n, 1)
+        odd_bits = mask & _layer_masks(n)[0]
     o = (odd_bits & -odd_bits).bit_length() - 1
     if o != 1:
         size = 1 << n
@@ -121,16 +136,12 @@ def _maxdim(mask: int, n: int, cap: int, k: int = MAX_N) -> int:
         return cap  # {0} is a d-cube for every d
     if cap == 1:
         return 1  # any single element is a 1-cube
-    mask, n = _normalize(mask, n)
-    size_d = mask.bit_count()
-    top = n
-    while not mask & _layer_mask(n, top):
-        top -= 1
-    ub = min(size_d, (1 << top) - 1)
+    ub = _span_cap(mask, n)
     if cap > ub:
         cap = ub
     if cap <= 1:
         return cap
+    mask, n = _normalize(mask, n)
     key = (n, mask)
     exact = _exact.get(key)
     if exact is not None:

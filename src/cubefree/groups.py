@@ -12,6 +12,15 @@ lam * A, odd scaling in particular).
 Detection and counting read each translate A - x off the doubled mask
 A | A << 2^n with one right shift instead.
 
+``scale_mask`` has two regimes.  An odd lam permutes Z_{2^n} as an
+automorphism of its 2-adic tree, so on masks of at most 2^10 bits it runs
+as at most n - 1 delta swaps, whose masks are cached per (n, lam mod 2^n):
+at most 1023 small tables.  An even lam, and any lam on a wider mask,
+walks the members one at a time, since a table there would cost O(2^n) to
+build for a sparse set.  Detection's canonical form scales through
+``scale_mask`` and halves all-even sets with ``_halve_even``, a log-step
+bit compress.
+
 The i'th layer L_i (1 <= i <= n) consists of the residues congruent to
 2^(i-1) modulo 2^i, i.e. the residues of 2-adic valuation i-1; the extra
 layer L_{n+1} is {0}.
@@ -70,14 +79,56 @@ def subset_sums(elements: Iterable[int], size: int) -> int:
     return reach
 
 
+_SWAP_MAX_N = 10  # masks of up to 2^10 bits are scaled by a swap network, wider ones by the walk
+
+
 def scale_mask(mask: int, lam: int, size: int) -> int:
-    """Bit mask of {lam * x mod size : x in mask} (any integer lam)."""
+    """Bit mask of {lam * x mod size : x in mask} (any integer lam, size a power of two)."""
+    if lam & 1 and size <= 1 << _SWAP_MAX_N:
+        for shift, swaps in _scaling_network(size.bit_length() - 1, lam & (size - 1)):
+            t = (mask ^ mask >> shift) & swaps
+            mask ^= t | t << shift
+        return mask
     scaled = 0
     while mask:
         low = mask & -mask
         mask ^= low
         scaled |= 1 << (lam * (low.bit_length() - 1) % size)
     return scaled
+
+
+@lru_cache(maxsize=None)  # n <= 10 and u odd: at most 1023 tables of at most 9 pairs
+def _scaling_network(n: int, u: int) -> tuple[tuple[int, int], ...]:
+    """Delta swaps (shift, swap mask), applied in order, of x -> u x mod 2^n for odd u.
+
+    Bit j of u x is bit j of x flipped iff bit j of u (x mod 2^j) is set, as
+    u is odd.  Level j, from n - 1 down to 1 while the bits below j still
+    hold x, swaps positions p and p + 2^j (bit j of p clear) on that flip.
+    """
+    full = (1 << (1 << n)) - 1
+    network = []
+    for j in range(n - 1, 0, -1):
+        base = sum(1 << r for r in range(1 << j) if u * r >> j & 1)
+        if base:
+            # repeat the pattern with period 2^(j+1) across the group
+            network.append((1 << j, base * (full // ((1 << (2 << j)) - 1))))
+    return tuple(network)
+
+
+def _halve_even(mask: int, n: int) -> int:
+    """Bit mask of {x / 2 : x in mask} in Z_{2^(n-1)}, for a mask of even residues of Z_{2^n}."""
+    for shift, keep in _halving_masks(n):
+        mask = (mask | mask >> shift) & keep
+    return mask
+
+
+@lru_cache(maxsize=None)
+def _halving_masks(n: int) -> tuple[tuple[int, int], ...]:
+    # before step s every 2s-bit block keeps its s data bits in its low half;
+    # the step packs the 2s data bits of every 4s-bit block into its low half
+    full = (1 << (1 << n)) - 1
+    return tuple((s, full // ((1 << (4 * s)) - 1) * ((1 << (2 * s)) - 1))
+                 for s in (1 << i for i in range(n - 1)))
 
 
 def mask_members(mask: int) -> Iterator[int]:
@@ -184,20 +235,18 @@ class GeneratorMultiset:
 
 
 @lru_cache(maxsize=None)
-def _layer_mask(n: int, i: int) -> int:
-    if i == n + 1:
-        return 1
-    size = 1 << n
-    step = 1 << i
-    # bits at the multiples of 2^i, shifted up to start at 2^(i-1)
-    return ((1 << size) - 1) // ((1 << step) - 1) << (1 << (i - 1))
+def _layer_masks(n: int) -> tuple[int, ...]:
+    """Masks of the layers of Z_{2^n}: entry v is L_(v+1), the residues of 2-adic valuation v."""
+    full = (1 << (1 << n)) - 1
+    # bits at the multiples of 2^(v+1), shifted up to start at 2^v
+    return tuple(full // ((1 << (2 << v)) - 1) << (1 << v) for v in range(n)) + (1,)
 
 
 def layer_set(i: int, ctx: GroupContext) -> ResidueSet:
     """The layer L_i as a set; |L_i| = 2^(n-i) for i <= n, |L_{n+1}| = 1."""
     if not 1 <= i <= ctx.n + 1:
         raise RangeError(f"layer index {i} outside [1, {ctx.n + 1}]")
-    return ResidueSet(ctx, _layer_mask(ctx.n, i))
+    return ResidueSet(ctx, _layer_masks(ctx.n)[i - 1])
 
 
 def layer_range_set(a: int, b: int, ctx: GroupContext) -> ResidueSet:
@@ -207,8 +256,8 @@ def layer_range_set(a: int, b: int, ctx: GroupContext) -> ResidueSet:
     if not 1 <= a or not b <= ctx.n + 1:
         raise RangeError(f"layer range [{a}, {b}] outside [1, {ctx.n + 1}]")
     mask = 0
-    for i in range(a, b + 1):
-        mask |= _layer_mask(ctx.n, i)
+    for layer in _layer_masks(ctx.n)[a - 1:b]:
+        mask |= layer
     return ResidueSet(ctx, mask)
 
 
@@ -221,10 +270,9 @@ def centred_set(m: int, ctx: GroupContext) -> ResidueSet:
     if not 0 <= m <= ctx.modulus:
         raise RangeError(f"cardinality {m} outside [0, {ctx.modulus}]")
     mask = 0
-    for i in range(1, ctx.n + 2):
+    for layer in _layer_masks(ctx.n):
         if m == 0:
             break
-        layer = _layer_mask(ctx.n, i)
         size = layer.bit_count()
         if size <= m:
             mask |= layer

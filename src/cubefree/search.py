@@ -42,7 +42,7 @@ from .construction import construction_layers, layered_construction
 from .counting import count_schur_triples
 from .detection import find_degenerate_3cube, is_cube_free, max_cube_dimension
 from .errors import CapacityError, comb_within_budget
-from .groups import GroupContext, ResidueSet, _layer_mask, mask_members
+from .groups import GroupContext, ResidueSet, _layer_masks, mask_members
 from .sumsets import cube_mask
 
 DEFAULT_ENUM_BUDGET = 5_000_000
@@ -265,9 +265,10 @@ def union_max_dimension(layer_indices: tuple[int, ...], ctx: GroupContext, cap: 
         return cap  # 0 belongs to the union, which contains every cube dimension
     top = max(layer_indices)
     eff = GroupContext(top) if top < ctx.n else ctx
+    masks = _layer_masks(eff.n)
     umask = 0
     for i in layer_indices:
-        umask |= _layer_mask(eff.n, i)
+        umask |= masks[i - 1]
     return max_cube_dimension(ResidueSet(eff, umask), cap, scale_invariant=True)
 
 
@@ -286,9 +287,10 @@ def max_cube_free_layer_unions(ctx: GroupContext, d: int,
                                 1 << n)
         indices = tuple(i for i in range(1, n + 1) if v >> (n - i) & 1)
         if union_max_dimension(indices, ctx, d) < d:
+            masks = _layer_masks(n)
             umask = 0
             for i in indices:
-                umask |= _layer_mask(n, i)
+                umask |= masks[i - 1]
             return SearchCertificate("layer_unions", v, ResidueSet(ctx, umask), (1 << n) - v)
     raise AssertionError("the empty union is always cube-free")  # pragma: no cover
 

@@ -9,6 +9,8 @@ from cubefree.construction import layered_construction
 from cubefree.detection import (
     CubeWitness,
     _maxdim,
+    _normalize,
+    _span_cap,
     clear_detection_cache,
     find_cube,
     find_degenerate_3cube,
@@ -271,3 +273,57 @@ def test_memo_bound_keeps_answers(monkeypatch, rng):
     monkeypatch.setattr(detection, "_atleast", Tracked())
     assert answers() == expected
     assert peak[0] == limit  # the memo filled up, and was cleared before it grew past
+
+
+def reference_normalize(mask, n):
+    """Halve while all members are even, then divide by the smallest odd member."""
+    members = {x for x in range(1 << n) if mask >> x & 1}
+    while not any(x & 1 for x in members):
+        members = {x >> 1 for x in members}
+        n -= 1
+    u = pow(min(x for x in members if x & 1), -1, 1 << n)
+    return sum(1 << (u * x % (1 << n)) for x in members), n
+
+
+@st.composite
+def detection_masks(draw):
+    """(mask, n): a nonzero set without 0, its members all divisible by 2^t."""
+    n = draw(st.integers(1, 12))
+    t = draw(st.integers(0, n - 1))
+    members = draw(st.sets(st.integers(1, (1 << (n - t)) - 1), min_size=1,
+                           max_size=draw(st.sampled_from((4, 40, 1 << (n - t))))))
+    return sum(1 << (x << t) for x in members), n
+
+
+@settings(max_examples=300, deadline=None)
+@given(detection_masks())
+@example((1 << 1, 1))
+@example((1 << 4 | 1 << 12, 4))  # {4, 12}: halved twice to {1, 3}
+@example(((1 << 1024) - 2, 10))
+@example((1 << 3 | 1 << 2047, 11))
+def test_normalize_matches_reference(case):
+    mask, n = case
+    assert _normalize(mask, n) == reference_normalize(mask, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(detection_masks())
+@example((1 << 4 | 1 << 12, 4))
+@example((1 << 1 | 1 << 2, 2))  # {1, 2}: layers L_1 and L_2
+def test_span_cap_is_read_off_the_raw_mask(case):
+    # the cap from the raw mask equals the cap after normalization, and both
+    # are min(|D|, 2^(top - low + 1) - 1) over the valuations present
+    mask, n = case
+    valuations = {(x & -x).bit_length() - 1 for x in range(1, 1 << n) if mask >> x & 1}
+    expected = min(mask.bit_count(), (1 << (max(valuations) - min(valuations) + 1)) - 1)
+    assert _span_cap(mask, n) == expected == _span_cap(*_normalize(mask, n))
+
+
+def test_detection_tree_is_pinned():
+    # the memo after every layer sweep 1 <= d <= n <= 7 from a cold memo;
+    # a cap return that moved ahead of or behind a memo write changes these
+    clear_detection_cache()
+    for n in range(1, 8):
+        for d in range(1, n + 1):
+            max_cube_free_layer_unions(GroupContext(n), d)
+    assert (len(detection._exact), len(detection._atleast)) == (808, 204)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cubefree import groups
 from cubefree.errors import RangeError
 from cubefree.groups import (
     MAX_N,
@@ -157,15 +158,63 @@ def test_subset_sums_matches_enumeration(case):
     assert subset_sums(elements, size) == naive_subset_sums(elements, size)
 
 
+def walk_halve(mask):
+    """{x / 2 : x in mask} for a mask of even residues, one member at a time."""
+    halved = 0
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        halved |= 1 << ((low.bit_length() - 1) >> 1)
+    return halved
+
+
+@st.composite
+def group_masks(draw, min_n=1, max_n=12):
+    """(n, mask): sparse and dense subsets of Z_{2^n}, both sides of the 2^10-bit switch."""
+    n = draw(st.integers(min_n, max_n))
+    size = 1 << n
+    if draw(st.booleans()):
+        mask = draw(st.integers(0, (1 << size) - 1))
+    else:
+        mask = sum(1 << x for x in draw(st.sets(st.integers(0, size - 1), max_size=12)))
+    return n, mask
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.integers(1, 7).flatmap(
-    lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1),
-                        st.integers(-300, 300))))
-@example((3, 0b10110110, 2))
-@example((5, (1 << 32) - 1, 0))
-@example((7, 1 << 127, 3))
-def test_scale_mask_matches_comprehension(case):
-    n, mask, lam = case
+@given(group_masks(), st.one_of(st.integers(-300, 300), st.integers(-(1 << 30), 1 << 30)))
+@example((3, 0b10110110), 2)
+@example((5, (1 << 32) - 1), 0)
+@example((7, 1 << 127), 3)
+@example((10, (1 << 1024) - 2), -1)
+@example((11, (1 << 2048) - 2), 3)
+def test_scale_mask_matches_comprehension(case, lam):
+    n, mask = case
     size = 1 << n
     expected = {lam * x % size for x in range(size) if mask >> x & 1}
     assert scale_mask(mask, lam, size) == sum(1 << y for y in expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(group_masks(min_n=2))
+@example((2, 0b0100))
+@example((12, (1 << 4096) - 1))
+def test_halve_even_matches_walk(case):
+    n, mask = case
+    evens = ((1 << (1 << n)) - 1) // 3  # bits at the even positions
+    mask &= evens
+    assert groups._halve_even(mask, n) == walk_halve(mask)
+
+
+def test_swap_networks_stay_below_the_switch():
+    # one network per (n, odd u) with n <= 10, each of at most n - 1 levels,
+    # whatever lam and size scale_mask is asked for
+    groups._scaling_network.cache_clear()
+    for n, lam in ((10, -1), (10, 1025), (11, 3), (12, 5), (21, 7)):
+        size = 1 << n
+        members = (1, 2, 4, size - 5, size - 3)
+        assert scale_mask(sum(1 << x for x in members), lam, size) == \
+            sum(1 << (lam * x % size) for x in members)
+    for n in range(1, 11):
+        for u in range(1, 1 << n, 2):
+            assert len(groups._scaling_network(n, u)) <= n - 1
+    assert groups._scaling_network.cache_info().currsize == 1023

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cubefree.construction import construction_size
 from cubefree.detection import is_cube_free
 from cubefree.errors import CapacityError
-from cubefree.groups import GroupContext, ResidueSet, _layer_mask, centred_set
+from cubefree.groups import GroupContext, ResidueSet, _layer_masks, centred_set
 from cubefree.counting import count_schur_triples
 from cubefree.search import (
     _bnb_max,
@@ -266,9 +266,7 @@ def sorted_union_table(n):
     entries = []
     for subset in range(1 << (n + 1)):
         indices = tuple(i + 1 for i in range(n + 1) if subset >> i & 1)
-        umask = 0
-        for i in indices:
-            umask |= _layer_mask(n, i)
+        umask = sum(_layer_masks(n)[i - 1] for i in indices)
         entries.append((umask, umask.bit_count(), indices))
     return sorted(entries, key=lambda e: (-e[1], e[0]))
 
