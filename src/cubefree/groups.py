@@ -13,13 +13,16 @@ Detection and counting read each translate A - x off the doubled mask
 A | A << 2^n with one right shift instead.
 
 ``scale_mask`` has two regimes.  An odd lam permutes Z_{2^n} as an
-automorphism of its 2-adic tree, so on masks of at most 2^10 bits it runs
-as at most n - 1 delta swaps, whose masks are cached per (n, lam mod 2^n):
-at most 1023 small tables.  An even lam, and any lam on a wider mask,
-walks the members one at a time, since a table there would cost O(2^n) to
-build for a sparse set.  Detection's canonical form scales through
-``scale_mask`` and halves all-even sets with ``_halve_even``, a log-step
-bit compress.
+automorphism of its 2-adic tree, so it can run as at most n - 1 delta
+swaps, whose masks cost O(2^n) Python steps to build.  A unit's network is
+built once that unit has walked 2^n / 4 members in all, and is kept
+only for masks of at most 2^10 bits: at most 1023 tables, 1.5 MB.  Until
+then, and for an even lam or a wider mask, the members are walked one at
+a time.  Above 2^10 bits a one-shot query builds too many networks and
+uses each too rarely for them to pay (see CHANGES.md for the timings).
+Detection's canonical form scales through ``scale_mask`` and halves
+all-even sets with ``_halve_even``: a log-step bit compress up to 2^10
+bits, the member walk above.
 
 The i'th layer L_i (1 <= i <= n) consists of the residues congruent to
 2^(i-1) modulo 2^i, i.e. the residues of 2-adic valuation i-1; the extra
@@ -79,16 +82,23 @@ def subset_sums(elements: Iterable[int], size: int) -> int:
     return reach
 
 
-_SWAP_MAX_N = 10  # masks of up to 2^10 bits are scaled by a swap network, wider ones by the walk
+_TABLE_MAX_N = 10  # kernel tables are kept for masks of at most 2^10 bits only
+_networks: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}  # (size, odd u) -> network
+_walked: dict[tuple[int, int], int] = {}  # (size, odd u) -> members walked before its network
 
 
 def scale_mask(mask: int, lam: int, size: int) -> int:
     """Bit mask of {lam * x mod size : x in mask} (any integer lam, size a power of two)."""
-    if lam & 1 and size <= 1 << _SWAP_MAX_N:
-        for shift, swaps in _scaling_network(size.bit_length() - 1, lam & (size - 1)):
-            t = (mask ^ mask >> shift) & swaps
-            mask ^= t | t << shift
-        return mask
+    if lam & 1 and size <= 1 << _TABLE_MAX_N:
+        key = (size, lam & (size - 1))
+        network = _networks.get(key)
+        if network is None:
+            network = _network_once_paid_for(key, mask.bit_count())
+        if network is not None:
+            for shift, swaps in network:
+                t = (mask ^ mask >> shift) & swaps
+                mask ^= t | t << shift
+            return mask
     scaled = 0
     while mask:
         low = mask & -mask
@@ -97,7 +107,24 @@ def scale_mask(mask: int, lam: int, size: int) -> int:
     return scaled
 
 
-@lru_cache(maxsize=None)  # n <= 10 and u odd: at most 1023 tables of at most 9 pairs
+def _network_once_paid_for(key: tuple[int, int], members: int) -> tuple[tuple[int, int], ...] | None:
+    """The network of ``key``, built and kept once its unit has paid for it in walks; else None.
+
+    Building a network costs about as much as walking size / 4 members, so
+    a unit is walked until it has walked that many in all (the ski-rental
+    rule: no sequence of calls costs much more than twice the better of
+    always walking and building at first use).
+    """
+    size, u = key
+    walked = _walked.get(key, 0) + members
+    if walked < size >> 2:
+        _walked[key] = walked
+        return None
+    _walked.pop(key, None)
+    network = _networks[key] = _scaling_network(size.bit_length() - 1, u)
+    return network
+
+
 def _scaling_network(n: int, u: int) -> tuple[tuple[int, int], ...]:
     """Delta swaps (shift, swap mask), applied in order, of x -> u x mod 2^n for odd u.
 
@@ -105,30 +132,42 @@ def _scaling_network(n: int, u: int) -> tuple[tuple[int, int], ...]:
     u is odd.  Level j, from n - 1 down to 1 while the bits below j still
     hold x, swaps positions p and p + 2^j (bit j of p clear) on that flip.
     """
-    full = (1 << (1 << n)) - 1
     network = []
     for j in range(n - 1, 0, -1):
         base = sum(1 << r for r in range(1 << j) if u * r >> j & 1)
         if base:
-            # repeat the pattern with period 2^(j+1) across the group
-            network.append((1 << j, base * (full // ((1 << (2 << j)) - 1))))
+            network.append((1 << j, _periodic(base, 2 << j, n)))
     return tuple(network)
 
 
 def _halve_even(mask: int, n: int) -> int:
     """Bit mask of {x / 2 : x in mask} in Z_{2^(n-1)}, for a mask of even residues of Z_{2^n}."""
+    if n > _TABLE_MAX_N:
+        halved = 0
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            halved |= 1 << ((low.bit_length() - 1) >> 1)
+        return halved
     for shift, keep in _halving_masks(n):
         mask = (mask | mask >> shift) & keep
     return mask
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # n <= 10: at most 10 tables of at most 9 masks
 def _halving_masks(n: int) -> tuple[tuple[int, int], ...]:
     # before step s every 2s-bit block keeps its s data bits in its low half;
     # the step packs the 2s data bits of every 4s-bit block into its low half
-    full = (1 << (1 << n)) - 1
-    return tuple((s, full // ((1 << (4 * s)) - 1) * ((1 << (2 * s)) - 1))
-                 for s in (1 << i for i in range(n - 1)))
+    return tuple((s, _periodic((1 << (2 * s)) - 1, 4 * s, n)) for s in (1 << i for i in range(n - 1)))
+
+
+def _periodic(block: int, period: int, n: int) -> int:
+    """``block`` (below 2^period) repeated every ``period`` bits up to bit 2^n; period = 2^k <= 2^n."""
+    width = 1 << n
+    while period < width:
+        block |= block << period
+        period <<= 1
+    return block
 
 
 def mask_members(mask: int) -> Iterator[int]:
@@ -237,9 +276,8 @@ class GeneratorMultiset:
 @lru_cache(maxsize=None)
 def _layer_masks(n: int) -> tuple[int, ...]:
     """Masks of the layers of Z_{2^n}: entry v is L_(v+1), the residues of 2-adic valuation v."""
-    full = (1 << (1 << n)) - 1
-    # bits at the multiples of 2^(v+1), shifted up to start at 2^v
-    return tuple(full // ((1 << (2 << v)) - 1) << (1 << v) for v in range(n)) + (1,)
+    # bit 2^v repeated every 2^(v+1) bits
+    return tuple(_periodic(1 << (1 << v), 2 << v, n) for v in range(n)) + (1,)
 
 
 def layer_set(i: int, ctx: GroupContext) -> ResidueSet:

@@ -206,15 +206,33 @@ def test_halve_even_matches_walk(case):
 
 
 def test_swap_networks_stay_below_the_switch():
-    # one network per (n, odd u) with n <= 10, each of at most n - 1 levels,
-    # whatever lam and size scale_mask is asked for
-    groups._scaling_network.cache_clear()
+    # one network per (size, odd u) with size <= 2^10, each of at most n - 1
+    # levels, whatever lam and size scale_mask is asked for
+    groups._networks.clear()
+    groups._walked.clear()
     for n, lam in ((10, -1), (10, 1025), (11, 3), (12, 5), (21, 7)):
         size = 1 << n
         members = (1, 2, 4, size - 5, size - 3)
         assert scale_mask(sum(1 << x for x in members), lam, size) == \
             sum(1 << (lam * x % size) for x in members)
-    for n in range(1, 11):
-        for u in range(1, 1 << n, 2):
-            assert len(groups._scaling_network(n, u)) <= n - 1
-    assert groups._scaling_network.cache_info().currsize == 1023
+    assert not groups._networks  # five members pay for no network
+    for n in range(1, 13):
+        size = 1 << n
+        for u in range(1, size, 2):
+            scale_mask((1 << size) - 2, u, size)
+    assert len(groups._networks) == 1023 and not groups._walked
+    for (size, u), network in groups._networks.items():
+        assert size <= 1 << 10 and len(network) <= size.bit_length() - 2
+
+
+def test_sparse_masks_pay_for_a_network_in_instalments():
+    # a network of Z_256 costs 64 walked members: the 32nd two-member call builds it
+    groups._networks.clear()
+    groups._walked.clear()
+    key = (256, 77)
+    for call in range(1, 33):
+        x, y = 3 * call + 1, 5 * call
+        assert scale_mask(1 << x | 1 << y, 77 - 256, 256) == 1 << (77 * x % 256) | 1 << (77 * y % 256)
+        assert (key in groups._networks) == (call == 32)
+    assert key not in groups._walked
+    assert scale_mask(1 << 3 | 1 << 200, 77, 256) == 1 << (3 * 77 % 256) | 1 << (200 * 77 % 256)
