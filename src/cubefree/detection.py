@@ -45,6 +45,15 @@ since those lam fix g too.  Halving and odd scaling keep the promise.  A
 union of layers is fixed by every odd lam, so it starts from k = 1; k >= n
 promises nothing and prunes nothing.
 
+A set has up to |D_odd| normalized forms, one per odd member scaled to 1.
+Under the promise a node also keys on the least of them (one scaling per
+class mod 2^k of its odd members) and stores its value under both keys.  It
+looks that key up only once its first child has left the cap unreached: a
+node whose first child reaches the cap is done, and in the shallow sweeps
+of Z_{2^10} such nodes hold hundreds of odd members, a scaling each.
+One-shot queries carry no promise and keep the cheap key alone: there the
+scalings cost more than the hits save.
+
 The witness engine explores non-decreasing generator tuples in
 lexicographic order and returns the smallest witness.
 """
@@ -54,7 +63,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .groups import MAX_N, GeneratorMultiset, ResidueSet, _halve_even, _layer_masks, scale_mask
+from .groups import (
+    _TABLE_MAX_N,
+    MAX_N,
+    GeneratorMultiset,
+    ResidueSet,
+    _halve_even,
+    _layer_masks,
+    _layers_holding,
+    scale_mask,
+)
 from .sumsets import projective_cube
 
 
@@ -81,11 +99,11 @@ def _span_cap(mask: int, n: int) -> int:
     Requires a nonzero mask without bit 0.  Halving and odd scaling keep
     |D| and top - low, so the cap is read off the raw mask.
     """
-    layers = _layer_masks(n)
+    layers = _layer_masks(n) if n <= _TABLE_MAX_N else _layers_holding(mask, n)
     low = 0
     while not mask & layers[low]:
         low += 1
-    top = n - 1
+    top = len(layers) - 2
     while not mask & layers[top]:
         top -= 1
     return min(mask.bit_count(), (2 << (top - low)) - 1)
@@ -96,11 +114,11 @@ def _normalize(mask: int, n: int) -> tuple[int, int]:
 
     Requires a nonzero mask without bit 0.  Both steps preserve maxdim.
     """
-    odd_bits = mask & _layer_masks(n)[0]
-    while not odd_bits:
+    odd = (_layer_masks(n) if n <= _TABLE_MAX_N else _layers_holding(mask, n))[0]
+    while not mask & odd:  # the odd residues of Z_{2^n} include those of smaller groups
         mask = _halve_even(mask, n)
         n -= 1
-        odd_bits = mask & _layer_masks(n)[0]
+    odd_bits = mask & odd
     o = (odd_bits & -odd_bits).bit_length() - 1
     if o != 1:
         size = 1 << n
@@ -124,11 +142,28 @@ def _remember(table: dict[tuple[int, int], int], key: tuple[int, int], value: in
     table[key] = value
 
 
-def _maxdim(mask: int, n: int, cap: int, k: int = MAX_N) -> int:
+def _orbit_key(mask: int, n: int, k: int) -> int:
+    """The least mask holding 1 among the odd scalings of a normalized set fixed by lam = 1 (mod 2^k)."""
+    size = 1 << n
+    odd = mask & _layers_holding(mask, n)[0]
+    if k < n:
+        odd &= (1 << (1 << k)) - 1  # one odd member per class mod 2^k
+    odd &= odd - 1  # 1 scales by lam = 1
+    least = mask
+    while odd:
+        low = odd & -odd
+        odd ^= low
+        scaled = scale_mask(mask, pow(low.bit_length() - 1, -1, size), size)
+        if scaled < least:
+            least = scaled
+    return least
+
+
+def _maxdim(mask: int, n: int, cap: int, k: int = MAX_N + 1) -> int:
     """min(largest cube dimension inside the set, cap).
 
-    ``k`` promises that every odd lam = 1 (mod 2^k) fixes the set (k >= 1);
-    the default promises nothing.
+    ``k`` promises that every odd lam = 1 (mod 2^k) fixes the set
+    (1 <= k <= MAX_N); the default promises nothing and skips the orbit key.
     """
     if cap <= 0 or mask == 0:
         return 0
@@ -154,6 +189,8 @@ def _maxdim(mask: int, n: int, cap: int, k: int = MAX_N) -> int:
     seen = {0}
     rest = mask
     child_k = k
+    orbit = k <= MAX_N  # look the orbit key up once the first child is in
+    okey = None
     while rest:
         low = rest & -rest
         g = low.bit_length() - 1
@@ -173,10 +210,22 @@ def _maxdim(mask: int, n: int, cap: int, k: int = MAX_N) -> int:
             best = 1 + sub
             if best >= cap:
                 break
+        if orbit:
+            orbit = False
+            okey = (n, _orbit_key(mask, n, k))
+            exact = _exact.get(okey)
+            if exact is not None:
+                _remember(_exact, key, exact)
+                return exact if exact < cap else cap
+            if _atleast.get(okey, 0) >= cap:
+                _remember(_atleast, key, cap)
+                return cap
     if best < cap:
         _remember(_exact, key, best)
     elif best > _atleast.get(key, 0):
         _remember(_atleast, key, best)
+    if okey:  # looked up and missed, so best is new there
+        _remember(_exact if best < cap else _atleast, okey, best)
     return best
 
 
@@ -189,7 +238,7 @@ def max_cube_dimension(A: ResidueSet, cap: int, scale_invariant: bool = False) -
     """
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    return _maxdim(A.mask, A.ctx.n, cap, 1 if scale_invariant else MAX_N)
+    return _maxdim(A.mask, A.ctx.n, cap, 1 if scale_invariant else MAX_N + 1)
 
 
 def is_cube_free(A: ResidueSet, d: int, scale_invariant: bool = False) -> bool:

@@ -273,11 +273,33 @@ class GeneratorMultiset:
         return len(self.elements)
 
 
-@lru_cache(maxsize=None)
-def _layer_masks(n: int) -> tuple[int, ...]:
-    """Masks of the layers of Z_{2^n}: entry v is L_(v+1), the residues of 2-adic valuation v."""
-    # bit 2^v repeated every 2^(v+1) bits
-    return tuple(_periodic(1 << (1 << v), 2 << v, n) for v in range(n)) + (1,)
+class _LayerTables(dict):
+    """n -> masks of the layers of Z_{2^n}: entry v is L_(v+1), the residues of 2-adic valuation v.
+
+    Every n <= _TABLE_MAX_N is kept, and one wider n at a time.
+    """
+
+    def __missing__(self, n: int) -> tuple[int, ...]:
+        if n > _TABLE_MAX_N and max(self, default=0) > _TABLE_MAX_N:
+            del self[max(self)]
+        # bit 2^v repeated every 2^(v+1) bits
+        table = self[n] = tuple(_periodic(1 << (1 << v), 2 << v, n) for v in range(n)) + (1,)
+        return table
+
+
+_layer_tables = _LayerTables()
+_layer_masks = _layer_tables.__getitem__  # a dict lookup costs half an lru_cache call
+
+
+def _layers_holding(mask: int, n: int) -> tuple[int, ...]:
+    """Layer masks that agree with those of Z_{2^n} on a mask without 0.
+
+    The masks of every Z_{2^m} whose residues hold the members do, so the
+    widest table kept serves whenever it is wide enough.
+    """
+    least = min(n, (mask.bit_length() - 1).bit_length())
+    kept = max(_layer_tables, default=0)
+    return _layer_tables[kept] if kept >= least else _layer_masks(least)
 
 
 def layer_set(i: int, ctx: GroupContext) -> ResidueSet:

@@ -265,11 +265,11 @@ def union_max_dimension(layer_indices: tuple[int, ...], ctx: GroupContext, cap: 
         return cap  # 0 belongs to the union, which contains every cube dimension
     top = max(layer_indices)
     eff = GroupContext(top) if top < ctx.n else ctx
-    masks = _layer_masks(eff.n)
+    masks = _layer_masks(ctx.n)  # below 2^top, the layers of Z_{2^n} are those of Z_{2^top}
     umask = 0
     for i in layer_indices:
         umask |= masks[i - 1]
-    return max_cube_dimension(ResidueSet(eff, umask), cap, scale_invariant=True)
+    return max_cube_dimension(ResidueSet(eff, umask & eff.full_mask), cap, scale_invariant=True)
 
 
 def max_cube_free_layer_unions(ctx: GroupContext, d: int,

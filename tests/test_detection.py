@@ -1,15 +1,16 @@
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cubefree import detection
+from cubefree import detection, groups
 from cubefree.construction import layered_construction
 from cubefree.detection import (
     CubeWitness,
     _maxdim,
     _normalize,
+    _orbit_key,
     _span_cap,
     clear_detection_cache,
     find_cube,
@@ -19,7 +20,15 @@ from cubefree.detection import (
     is_cube_free,
     max_cube_dimension,
 )
-from cubefree.groups import GeneratorMultiset, GroupContext, ResidueSet, layer_range_set, layer_set
+from cubefree.groups import (
+    GeneratorMultiset,
+    GroupContext,
+    ResidueSet,
+    _layer_masks,
+    layer_range_set,
+    layer_set,
+    scale_mask,
+)
 from cubefree.search import max_cube_free_layer_unions
 from cubefree.sumsets import cube_mask, projective_cube
 
@@ -63,14 +72,17 @@ def test_max_cube_dimension_cap(ctx3):
     assert max_cube_dimension(punctured, 50) == 7
 
 
-def test_scale_invariant_flag_agrees(ctx4):
-    for mask_bits in range(1, 32):
-        union = ResidueSet.empty(ctx4)
-        for i in range(5):
-            if mask_bits >> i & 1:
-                union = union | layer_set(i + 1, ctx4)
-        for d in (1, 2, 3, 4):
-            assert is_cube_free(union, d) == is_cube_free(union, d, scale_invariant=True)
+def test_scale_invariant_flag_agrees():
+    # each side from a cold memo, so neither reads back what the other stored
+    for n in range(1, 7):
+        layers = _layer_masks(n)
+        unions = [sum(layers[i] for i in range(n + 1) if v >> i & 1) for v in range(1 << (n + 1))]
+        sides = []
+        for promised in (False, True):
+            clear_detection_cache()
+            sides.append([max_cube_dimension(ResidueSet(GroupContext(n), mask), cap, promised)
+                          for mask in unions for cap in range(n + 2)])
+        assert sides[0] == sides[1]
 
 
 def test_find_cube_witness_is_lex_minimal(rng):
@@ -248,6 +260,61 @@ def test_orbit_pruning_matches_unpruned(case):
     assert pruned == _maxdim(mask, n, cap)
 
 
+def _fixing_exponents(mask, n):
+    """Every k in [1, n] such that each odd lam = 1 (mod 2^k) fixes the set."""
+    size = 1 << n
+    return [k for k in range(1, n + 1)
+            if all(scale_mask(mask, lam, size) == mask for lam in range(1, size, 1 << k))]
+
+
+@st.composite
+def orbit_key_cases(draw):
+    """(mask, n, lam): a normalized set of Z_{2^n}, n <= 8, and an odd scaling."""
+    if draw(st.booleans()):
+        mask, n, _, _ = draw(stabilized_sets())
+    else:
+        n = draw(st.integers(1, 8))
+        mask = draw(st.integers(0, (1 << (1 << n)) - 1))
+    mask &= ~1
+    assume(mask)
+    mask, n = _normalize(mask, n)
+    return mask, n, draw(st.integers(0, (1 << (n - 1)) - 1)) * 2 + 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(orbit_key_cases())
+@example((0b1000010, 3, 3))  # {1, 6}: its least scaling {2, 3} lacks 1, the key is {1, 6}
+@example((0b10101010, 3, 5))  # L_1 of Z_8: every scaling fixes it
+def test_orbit_key_is_the_least_normalized_scaling(case):
+    # the key is the least mask holding 1 over all odd scalings (over one lam
+    # per class mod 2^k when k < n), and every set of the orbit gets it
+    mask, n, lam = case
+    size = 1 << n
+    for k in _fixing_exponents(mask, n):
+        images = {scale_mask(mask, mu, size) for mu in range(1, size, 2)}
+        assert images == {scale_mask(mask, mu, size) for mu in range(1, 1 << k, 2)}
+        key = _orbit_key(mask, n, k)
+        assert key == min(image for image in images if image & 2)
+        assert _orbit_key(*_normalize(scale_mask(mask, lam, size), n), k) == key
+
+
+def test_orbit_entries_are_read_within_the_cap():
+    # D = 11 K for K = {1, 2, 3, 4, 7}, of maxdim 4; the first child of D,
+    # {11, 12}, holds no 2-cube, so at cap 3 D reads the entry of its orbit key K
+    D = sum(1 << x for x in (1, 6, 11, 12, 13))
+    K = sum(1 << x for x in (1, 2, 3, 4, 7))
+    assert _orbit_key(D, 4, 4) == K == scale_mask(D, 3, 16)
+    clear_detection_cache()
+    assert _maxdim(D, 4, 3, 4) == 3  # a capped value is a lower bound under both keys
+    D5 = scale_mask(D, 5, 16)  # {1, 5, 7, 12, 14}: first child {7, 12}, then K's entry
+    assert _maxdim(D5, 4, 3, 4) == 3 and detection._atleast[(4, D5)] == 3
+    assert _maxdim(K, 4, 99, 4) == 4
+    clear_detection_cache()
+    assert _maxdim(K, 4, 99, 4) == 4
+    assert _maxdim(D, 4, 3, 4) == 3  # an exact hit is capped, and copied to the cheap key
+    assert detection._exact[(4, D)] == 4
+
+
 def test_memo_bound_keeps_answers(monkeypatch, rng):
     ctx = GroupContext(4)
     queries = [(ResidueSet(ctx, rng.getrandbits(16)), rng.randint(2, 5)) for _ in range(200)]
@@ -319,6 +386,25 @@ def test_span_cap_is_read_off_the_raw_mask(case):
     assert _span_cap(mask, n) == expected == _span_cap(*_normalize(mask, n))
 
 
+def test_small_members_of_a_wide_group_need_no_wide_table():
+    # the layers of Z_{2^21} agree with those of Z_{2^7} below 128
+    ctx = GroupContext(21)
+    A = ResidueSet.from_members(ctx, range(2, 122, 2))
+    groups._layer_tables.clear()
+    witness = find_cube(A, 4)
+    assert witness.generators.elements == (2, 2, 2, 2) and witness.cube.issubset(A)
+    assert not is_cube_free(A, 5)
+    assert max(groups._layer_tables) <= 7
+
+
+def test_wide_groups_share_the_kept_table():
+    # a sweep of Z_{2^12} reads the unions topped by L_11 off the table of Z_{2^12}
+    groups._layer_tables.clear()
+    table = groups._layer_masks(12)
+    assert max_cube_free_layer_unions(GroupContext(12), 2).optimum == 2048
+    assert groups._layer_masks(12) is table and 11 not in groups._layer_tables
+
+
 def test_detection_tree_is_pinned():
     # the memo after every layer sweep 1 <= d <= n <= 7 from a cold memo;
     # a cap return that moved ahead of or behind a memo write changes these
@@ -326,4 +412,18 @@ def test_detection_tree_is_pinned():
     for n in range(1, 8):
         for d in range(1, n + 1):
             max_cube_free_layer_unions(GroupContext(n), d)
-    assert (len(detection._exact), len(detection._atleast)) == (808, 204)
+    assert (len(detection._exact), len(detection._atleast)) == (812, 204)
+
+
+def test_one_shot_memo_is_pinned(rng):
+    # the memo after a fixed batch of one-shot queries from a cold memo: they
+    # carry no stabilizer promise, so they store and read no orbit keys
+    clear_detection_cache()
+    for n in (5, 6):
+        ctx = GroupContext(n)
+        for _ in range(60):
+            A = ResidueSet(ctx, rng.getrandbits(1 << n) & rng.getrandbits(1 << n) & ~1)
+            d = rng.randint(2, n + 1)
+            find_cube(A, d)
+            is_cube_free(A, d)
+    assert (len(detection._exact), len(detection._atleast)) == (635, 60)

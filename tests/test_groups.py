@@ -236,3 +236,13 @@ def test_sparse_masks_pay_for_a_network_in_instalments():
         assert (key in groups._networks) == (call == 32)
     assert key not in groups._walked
     assert scale_mask(1 << 3 | 1 << 200, 77, 256) == 1 << (3 * 77 % 256) | 1 << (200 * 77 % 256)
+
+
+def test_layer_tables_keep_one_wide_group():
+    # tables of at most 2^10 bits are all kept; of the wider ones, the last only
+    for n in (3, 12, 10, 14, 11):
+        assert groups._layer_masks(n) == tuple(
+            sum(1 << x for x in range(1, 1 << n) if x & -x == 1 << v) for v in range(n)) + (1,)
+    kept = set(groups._layer_tables)
+    assert {3, 10, 11} <= kept and not kept & {12, 14}
+    assert max(kept) == 11
