@@ -48,11 +48,10 @@ promises nothing and prunes nothing.
 A set has up to |D_odd| normalized forms, one per odd member scaled to 1.
 Under the promise a node also keys on the least of them (one scaling per
 class mod 2^k of its odd members) and stores its value under both keys.  It
-looks that key up only once its first child has left the cap unreached: a
-node whose first child reaches the cap is done, and in the shallow sweeps
-of Z_{2^10} such nodes hold hundreds of odd members, a scaling each.
-One-shot queries carry no promise and keep the cheap key alone: there the
-scalings cost more than the hits save.
+looks that key up once its first child leaves the cap unreached, since in
+the shallow sweeps of Z_{2^10} the nodes done after one child hold hundreds
+of odd members, a scaling each.  One-shot queries carry no promise and keep
+the cheap key alone: there the scalings cost more than the hits save.
 
 The witness engine explores non-decreasing generator tuples in
 lexicographic order and returns the smallest witness.
@@ -63,16 +62,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .groups import (
-    _TABLE_MAX_N,
-    MAX_N,
-    GeneratorMultiset,
-    ResidueSet,
-    _halve_even,
-    _layer_masks,
-    _layers_holding,
-    scale_mask,
-)
+from .groups import (MAX_N, _TABLE_MAX_N, GeneratorMultiset, ResidueSet, _halve_even, _layer_masks,
+                     _layers_holding, mask_members, scale_mask)
 from .sumsets import projective_cube
 
 
@@ -145,18 +136,9 @@ def _remember(table: dict[tuple[int, int], int], key: tuple[int, int], value: in
 def _orbit_key(mask: int, n: int, k: int) -> int:
     """The least mask holding 1 among the odd scalings of a normalized set fixed by lam = 1 (mod 2^k)."""
     size = 1 << n
-    odd = mask & _layers_holding(mask, n)[0]
-    if k < n:
-        odd &= (1 << (1 << k)) - 1  # one odd member per class mod 2^k
-    odd &= odd - 1  # 1 scales by lam = 1
-    least = mask
-    while odd:
-        low = odd & -odd
-        odd ^= low
-        scaled = scale_mask(mask, pow(low.bit_length() - 1, -1, size), size)
-        if scaled < least:
-            least = scaled
-    return least
+    odd = mask & (_layer_masks(n) if n <= _TABLE_MAX_N else _layers_holding(mask, n))[0]
+    odd &= (1 << (1 << min(k, n))) - 4  # one odd member per class mod 2^k, but 1 (lam = 1)
+    return min([mask, *(scale_mask(mask, pow(u, -1, size), size) for u in mask_members(odd))])
 
 
 def _maxdim(mask: int, n: int, cap: int, k: int = MAX_N + 1) -> int:
@@ -189,8 +171,7 @@ def _maxdim(mask: int, n: int, cap: int, k: int = MAX_N + 1) -> int:
     seen = {0}
     rest = mask
     child_k = k
-    orbit = k <= MAX_N  # look the orbit key up once the first child is in
-    okey = None
+    okey = None if k <= MAX_N else ()  # the orbit key, looked up once the first child is in
     while rest:
         low = rest & -rest
         g = low.bit_length() - 1
@@ -210,8 +191,7 @@ def _maxdim(mask: int, n: int, cap: int, k: int = MAX_N + 1) -> int:
             best = 1 + sub
             if best >= cap:
                 break
-        if orbit:
-            orbit = False
+        if okey is None:
             okey = (n, _orbit_key(mask, n, k))
             exact = _exact.get(okey)
             if exact is not None:

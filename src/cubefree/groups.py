@@ -274,10 +274,7 @@ class GeneratorMultiset:
 
 
 class _LayerTables(dict):
-    """n -> masks of the layers of Z_{2^n}: entry v is L_(v+1), the residues of 2-adic valuation v.
-
-    Every n <= _TABLE_MAX_N is kept, and one wider n at a time.
-    """
+    """n -> masks of the layers of Z_{2^n}, entry v: L_(v+1); every n <= _TABLE_MAX_N is kept, one wider n."""
 
     def __missing__(self, n: int) -> tuple[int, ...]:
         if n > _TABLE_MAX_N and max(self, default=0) > _TABLE_MAX_N:
@@ -292,11 +289,7 @@ _layer_masks = _layer_tables.__getitem__  # a dict lookup costs half an lru_cach
 
 
 def _layers_holding(mask: int, n: int) -> tuple[int, ...]:
-    """Layer masks that agree with those of Z_{2^n} on a mask without 0.
-
-    The masks of every Z_{2^m} whose residues hold the members do, so the
-    widest table kept serves whenever it is wide enough.
-    """
+    """Layer masks agreeing with those of Z_{2^n} on a mask without 0: any Z_{2^m} holding its members."""
     least = min(n, (mask.bit_length() - 1).bit_length())
     kept = max(_layer_tables, default=0)
     return _layer_tables[kept] if kept >= least else _layer_masks(least)
