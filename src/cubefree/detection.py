@@ -18,7 +18,7 @@ of even residues halves into Z_{2^(n-1)}, and odd scaling is free
 1 before lookup.
 
 Two sound caps bound the recursion when 0 is not in D.  Both come first,
-from the raw mask: |D| and the span top - low of the layers present do not
+from the raw mask: |D| and the valuations present, up to a shift, do not
 change under halving or odd scaling.  Only a set whose capped value stays
 above 1 is normalized and looked up, so the caps decide most calls for the
 price of a few mask ANDs.
@@ -26,11 +26,27 @@ price of a few mask ANDs.
 * size cap -- each generator strictly shrinks D (a stalled step would put
   the cyclic subgroup generated by g, hence 0, inside D), so
   maxdim(D) <= |D|;
-* zero-sum cap -- if every element of D has 2-adic valuation in
-  [j-1, t-1], then among any 2^(t-j+1) generators some nonempty subset sum
-  is divisible by 2^t and cannot lie in D, so maxdim(D) <= 2^(t-j+1) - 1.
+* layer-gap cap -- if D has members of 2-adic valuation below m but none of
+  valuation m, then
+
+      maxdim(D) <= 2^m - 1 + maxdim(D & 2^(m+1) Z).
+
+  Split a cube's generators into those of valuation below m and above m.
+  Reduced mod 2^(m+1), no subset of the low ones sums to 2^m, since that
+  sum would lie in D with valuation m.  By the zero-sum dichotomy at k = m,
+  2^m + x of them then hold x + 1 disjoint zero-sum parts, and the parts'
+  sums with the high generators span a cube inside D & 2^(m+1) Z.  Each
+  set is halved down to its lowest layer first, so m counts from there,
+  and the cap recurses on the word of valuations present: it is a function
+  of that word, memoized per word.  The first gap is used, and only if
+  m <= GAP_CAP_MAX_M = 3, the largest k at which every x is checked
+  (tests/test_detection.py::test_gap_cap_premise and
+  test_gap_cap_uses_only_checked_gaps).  Without such a gap the cap is the
+  zero-sum cap 2^(top-low+1) - 1, the gap above the top layer: among that
+  many generators with valuations in [low, top] some nonempty subset sum
+  is divisible by 2^(top+1), so lies outside D.
   (tests/test_sumsets.py::test_stalled_step_contains_generated_subgroup and
-  tests/test_detection.py::test_zero_sum_cap_premise check both premises.)
+  tests/test_detection.py::test_zero_sum_cap_premise check those premises.)
 
 Symmetry prunes generators.  Suppose every odd lam = 1 (mod 2^k) fixes D.
 Then lam (D & (D - g)) = D & (D - lam g), so g and lam g give children of
@@ -61,6 +77,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable, Iterator
 
 from .groups import (MAX_N, _TABLE_MAX_N, GeneratorMultiset, ResidueSet, _halve_even, _layer_masks,
                      _layers_holding, mask_members, scale_mask)
@@ -84,20 +101,41 @@ class CubeWitness:
         return cls(generators, cube)
 
 
+GAP_CAP_MAX_M = 3  # largest gap the layer-gap cap uses: the dichotomy is checked for every x at k <= 3
+_WORD_CAPS_LIMIT = 1 << 16  # entries of _word_caps before it is cleared
+_word_caps: dict[int, int] = {}
+
+
+def _word_cap(word: int) -> int:
+    """The layer-gap cap for a set whose valuations present are the bits of a nonzero word."""
+    cap = _word_caps.get(word)
+    if cap is None:
+        cap, rest = 0, word
+        while rest:
+            rest >>= (rest & -rest).bit_length() - 1  # halve down to the lowest layer present
+            m = (rest ^ (rest + 1)).bit_length() - 1  # the first valuation missing
+            if m > GAP_CAP_MAX_M:
+                m = rest.bit_length()  # no usable gap: the zero-sum cap above the top layer
+            cap += (1 << m) - 1
+            rest >>= m + 1
+        if len(_word_caps) >= _WORD_CAPS_LIMIT:
+            _word_caps.clear()
+        _word_caps[word] = cap
+    return cap
+
+
 def _span_cap(mask: int, n: int) -> int:
-    """min(|D|, 2^(top-low+1) - 1) for D in layers L_low .. L_top; the size and zero-sum caps.
+    """min(|D|, the layer-gap cap of the valuations present in D); the size and gap caps.
 
     Requires a nonzero mask without bit 0.  Halving and odd scaling keep
-    |D| and top - low, so the cap is read off the raw mask.
+    |D| and the valuations present up to a shift, so the cap is read off
+    the raw mask.
     """
     layers = _layer_masks(n) if n <= _TABLE_MAX_N else _layers_holding(mask, n)
-    low = 0
-    while not mask & layers[low]:
-        low += 1
-    top = len(layers) - 2
-    while not mask & layers[top]:
-        top -= 1
-    return min(mask.bit_count(), (2 << (top - low)) - 1)
+    word = 0
+    for v in range(len(layers) - 2, -1, -1):
+        word = word << 1 | (mask & layers[v] != 0)
+    return min(mask.bit_count(), _word_cap(word))
 
 
 def _normalize(mask: int, n: int) -> tuple[int, int]:
@@ -269,27 +307,36 @@ def find_cube(A: ResidueSet, d: int) -> CubeWitness | None:
     return None
 
 
-@lru_cache(maxsize=None)
-def _run_masks(n: int, m: int) -> tuple[int, ...]:
-    """For each x, the mask of {x, 2x, ..., m*x} modulo 2^n."""
+def _run_masks(n: int, m: int) -> Iterable[int]:
+    """For each x in turn, the mask of {x, 2x, ..., m*x} modulo 2^n.
+
+    Kept as a table up to _TABLE_MAX_N only, as the layer tables are: a
+    table of a wider group would hold 2^n masks of 2^n bits each.
+    """
+    return _run_table(n, m) if n <= _TABLE_MAX_N else _runs(n, m)
+
+
+@lru_cache(maxsize=16)  # at most 16 tables of at most 2^10 masks of 2^10 bits
+def _run_table(n: int, m: int) -> tuple[int, ...]:
+    return tuple(_runs(n, m))
+
+
+def _runs(n: int, m: int) -> Iterator[int]:
     size = 1 << n
-    out = []
     for x in range(size):
         mask = 0
         for i in range(1, m + 1):
             mask |= 1 << (i * x % size)
-        out.append(mask)
-    return tuple(out)
+        yield mask
 
 
 def find_multiple_run(A: ResidueSet, m: int) -> int | None:
     """Smallest x (0 allowed) with {x, 2x, ..., m*x} inside A, or None."""
     if m < 1:
         raise ValueError(f"run length must be positive, got {m}")
-    masks = _run_masks(A.ctx.n, m)
     amask = A.mask
-    for x in range(A.ctx.modulus):
-        if masks[x] & ~amask == 0:
+    for x, run in enumerate(_run_masks(A.ctx.n, m)):
+        if run & ~amask == 0:
             return x
     return None
 
@@ -304,9 +351,8 @@ def find_homogeneous_cube(A: ResidueSet, ell: int) -> tuple[int, int] | None:
     # bit y < 2^n of doubled >> c is set iff y + c (mod 2^n) lies in A
     doubled = amask | amask << size
     r = (1 << ell) - 1
-    runs = _run_masks(ctx.n, r)
-    for x in range(size):
-        if runs[x] & ~amask:
+    for x, run in enumerate(_run_masks(ctx.n, r)):
+        if run & ~amask:
             continue
         inter = amask
         for i in range(1, r + 1):

@@ -105,9 +105,18 @@ def cube_constraint_masks(ctx: GroupContext, d: int, budget: int | None = None) 
     return _minimal_unique(list(seen))
 
 
-def degenerate_3cube_masks(ctx: GroupContext) -> list[int]:
-    """Masks of the restricted 3-cube families {x,x,x} and {x,3x,y}."""
+def degenerate_3cube_masks(ctx: GroupContext, budget: int | None = None) -> list[int]:
+    """Masks of the restricted 3-cube families {x,x,x} and {x,3x,y}.
+
+    Raises CapacityError, before any mask is built, when the 2^n (2^n + 1)
+    patterns exceed the budget.
+    """
+    budget = DEFAULT_ENUM_BUDGET if budget is None else budget
     size = ctx.modulus
+    space = size * (size + 1)
+    if space > budget:
+        raise CapacityError(f"{space} degenerate 3-cube patterns exceed the budget of {budget}",
+                            space_size=space)
     masks = []
     for x in range(size):
         masks.append(cube_mask((x, x, x), ctx))
@@ -123,7 +132,7 @@ def _pattern_masks(ctx: GroupContext, d: int, patterns: str, budget: int | None)
     if patterns == "degenerate":
         if d != 3:
             raise ValueError("the degenerate pattern family is defined for d = 3")
-        return degenerate_3cube_masks(ctx)
+        return degenerate_3cube_masks(ctx, budget)
     raise ValueError(f"unknown pattern family {patterns!r}")
 
 

@@ -11,7 +11,8 @@ import random
 
 import pytest
 
-from cubefree import verify
+from cubefree import construction, search, verify
+from cubefree.groups import GroupContext
 
 CRITERIA = [
     ("construction_table", "tabled constructions reproduced exactly at n=12"),
@@ -41,3 +42,13 @@ def test_acceptance(name, summary):
 
 def test_every_check_is_an_acceptance_criterion():
     assert [c[0] for c in CRITERIA] == list(verify.CHECKS)
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_layer_union_optimum_beyond_desk_scale(n):
+    # every sweep 1 <= d <= n of Z_{2^11} and Z_{2^12} (the desk check stops
+    # at n = 10) meets the construction; the layer-gap cap closes each union
+    # at its root (without it the d = 12 sweep of Z_{2^12} runs past 400 s)
+    ctx = GroupContext(n)
+    optima = [search.max_cube_free_layer_unions(ctx, d).optimum for d in range(1, n + 1)]
+    assert optima == [construction.construction_size(d, ctx) for d in range(1, n + 1)]

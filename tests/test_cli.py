@@ -143,6 +143,16 @@ def test_layer_sweep_budget_exits_two():
     assert report.result["error"] == "layer-union sweep exceeded the budget of 10 unions"
 
 
+def test_degenerate_patterns_budget_exits_two():
+    # 2^10 (2^10 + 1) patterns are counted, not built (building them took over 60 s)
+    start = time.perf_counter()
+    code, report = run_cli("max-search", "--n", "10", "--d", "3", "--mode", "lp",
+                           "--patterns", "degenerate", "--budget", "1000")
+    assert code == 2 and report.status == "budget_exceeded"
+    assert report.result["space_size"] == 1049600
+    assert time.perf_counter() - start < 1.0
+
+
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("CUBEFREE_BUDGET", "10")
     code, report = run_cli("max-search", "--n", "3", "--d", "3")

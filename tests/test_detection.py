@@ -27,8 +27,11 @@ from cubefree.groups import (
     _layer_masks,
     layer_range_set,
     layer_set,
+    mask_members,
     scale_mask,
+    shift_mask,
 )
+from cubefree.oracle import ResidueCollection, disjoint_zero_sets
 from cubefree.search import max_cube_free_layer_unions
 from cubefree.sumsets import cube_mask, projective_cube
 
@@ -207,6 +210,112 @@ def test_zero_sum_cap_premise(case):
     assert cube_mask(elements, ctx) & layer_range_set(t + 1, n + 1, ctx).mask
 
 
+PREMISE_COUNTS = {1: 1, 2: 30, 3: 1756}  # k -> half-sum-free multisets of >= 2^k residues mod 2^(k+1)
+
+
+def _half_sum_free_multisets(k):
+    """Non-decreasing multisets of nonzero residues mod 2^(k+1) with no subset sum 2^k.
+
+    A multiset whose subset sums reach 2^k keeps them under every extension,
+    so the walk prunes there, and what it yields is finite.
+    """
+    ctx = GroupContext(k + 1)
+    half = 1 << (1 << k)
+    stack = [((), 1)]  # (elements, mask of their subset sums)
+    while stack:
+        elements, sums = stack.pop()
+        yield elements
+        for r in range(elements[-1] if elements else 1, ctx.modulus):
+            grown = sums | shift_mask(sums, r, ctx)
+            if not grown & half:
+                stack.append((elements + (r,), grown))
+
+
+@pytest.mark.parametrize("k", sorted(PREMISE_COUNTS))
+def test_gap_cap_premise(k):
+    # the zero-sum dichotomy at k for every x, the premise of the layer-gap
+    # cap at a gap m = k: 2^k + x nonzero residues mod 2^(k+1) either have a
+    # subset sum 2^k or hold x + 1 disjoint zero-sum parts
+    checked = 0
+    for elements in _half_sum_free_multisets(k):
+        x = len(elements) - (1 << k)
+        if x >= 0:
+            checked += 1
+            assert disjoint_zero_sets(ResidueCollection(k, elements), x + 1) is not None, elements
+    assert checked == PREMISE_COUNTS[k]
+
+
+def test_gap_cap_uses_only_checked_gaps():
+    # a gap m >= 1 rests on the dichotomy at k = m (below a gap at m = 0 lie
+    # no generators), so the cap may use no gap that the premise test skips
+    assert set(range(1, detection.GAP_CAP_MAX_M + 1)) <= set(PREMISE_COUNTS)
+
+
+def _lemma_free_maxdims(n):
+    """maxdim of every set of Z_{2^n}, indexed by mask, by the bare recursion.
+
+    D & (D - g) is a subset of D, so a smaller mask; sets holding 0 get 0
+    here and are never read.
+    """
+    size = 1 << n
+    table = [0] * (1 << size)
+    for D in range(2, 1 << size, 2):
+        doubled = D | D << size
+        table[D] = max(1 + table[D & (doubled >> g)] for g in mask_members(D))
+    return table
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gap_cap_bounds_every_small_set(n):
+    table = _lemma_free_maxdims(n)
+    assert [D for D in range(2, 1 << (1 << n), 2) if _span_cap(D, n) < table[D]] == []
+
+
+def _lemma_free_maxdim(mask, n, cap):
+    """min(maxdim, cap) by the bare recursion: no caps, no halving, no scaling."""
+    size = 1 << n
+    memo = {}
+
+    def rec(D, c):
+        if c == 0 or not D:
+            return 0
+        best = memo.get((D, c))
+        if best is None:
+            best, doubled = 0, D | D << size
+            for g in mask_members(D):
+                best = max(best, 1 + rec(D & (doubled >> g), c - 1))
+                if best >= c:
+                    break
+            memo[D, c] = best
+        return best
+
+    return rec(mask, cap)
+
+
+@st.composite
+def sparse_layer_sets(draw):
+    """(mask, n): a few members in each of some layers of Z_{2^n}, 5 <= n <= 7, with a gap."""
+    n = draw(st.integers(5, 7))
+    low = draw(st.integers(0, 2))
+    gap = draw(st.integers(low + 1, low + 4))  # the first gap, at m = gap - low <= 4 (4 is not used)
+    above = draw(st.sets(st.integers(gap + 1, n - 1), max_size=3)) if gap + 1 < n else set()
+    mask = 0
+    for v in [*range(low, min(gap, n)), *above]:
+        odd = draw(st.sets(st.integers(0, (1 << (n - v - 1)) - 1), min_size=1, max_size=3))
+        for u in odd:
+            mask |= 1 << ((2 * u + 1) << v)
+    return mask, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_layer_sets())
+@example((1 << 1 | 1 << 3 | 1 << 8 | 1 << 24, 5))  # {1, 3, 8, 24}: a gap at m = 1, L_4 above it
+def test_gap_cap_bounds_sparse_layer_sets(case):
+    mask, n = case
+    cap = _span_cap(mask, n)
+    assert _lemma_free_maxdim(mask, n, cap + 1) <= cap
+
+
 def _stabilizer_orbits(n, k):
     """Orbit masks of the nonzero residues under the odd lam = 1 (mod 2^k)."""
     size = 1 << n
@@ -379,11 +488,42 @@ def test_normalize_matches_reference(case):
 @example((1 << 1 | 1 << 2, 2))  # {1, 2}: layers L_1 and L_2
 def test_span_cap_is_read_off_the_raw_mask(case):
     # the cap from the raw mask equals the cap after normalization, and both
-    # are min(|D|, 2^(top - low + 1) - 1) over the valuations present
+    # are min(|D|, the layer-gap cap of the valuations present)
     mask, n = case
     valuations = {(x & -x).bit_length() - 1 for x in range(1, 1 << n) if mask >> x & 1}
-    expected = min(mask.bit_count(), (1 << (max(valuations) - min(valuations) + 1)) - 1)
+    expected = min(mask.bit_count(), reference_gap_cap(valuations))
     assert _span_cap(mask, n) == expected == _span_cap(*_normalize(mask, n))
+
+
+def reference_gap_cap(valuations):
+    """2^m - 1 plus the cap of the valuations above the first gap m after the lowest, m <= 3.
+
+    Without such a gap: 2^(top - low + 1) - 1, the zero-sum cap.
+    """
+    cap = 0
+    while valuations:
+        low = min(valuations)
+        m = next(m for m in range(len(valuations) + 1) if low + m not in valuations)
+        if m > detection.GAP_CAP_MAX_M:
+            m = max(valuations) - low + 1
+        cap += (1 << m) - 1
+        valuations = {v for v in valuations if v > low + m}
+    return cap
+
+
+def test_gap_cap_examples():
+    # no gap, gaps at m = 1 .. 4, and several gaps; |D| stays above the cap
+    assert reference_gap_cap({0, 1, 2}) == 7
+    assert reference_gap_cap({1, 3}) == 1 + 1  # halved, a gap at m = 1
+    assert reference_gap_cap({0, 2, 3}) == 1 + 3
+    assert reference_gap_cap({0, 1, 3}) == 3 + 1
+    assert reference_gap_cap({0, 1, 2, 4, 5}) == 7 + 3
+    assert reference_gap_cap({0, 1, 2, 3, 5}) == 63  # a gap at m = 4 is not used
+    assert reference_gap_cap({0, 2, 4, 6}) == 4
+    n = 8
+    for valuations in ({0, 2, 3}, {0, 1, 2, 3, 5}, {1, 2, 4, 7}):
+        mask = sum((1 << (u << v)) for v in valuations for u in range(1, 1 << (n - v), 2))
+        assert _span_cap(mask, n) == reference_gap_cap(valuations)
 
 
 def test_small_members_of_a_wide_group_need_no_wide_table():
@@ -405,14 +545,23 @@ def test_wide_groups_share_the_kept_table():
     assert groups._layer_masks(12) is table and 11 not in groups._layer_tables
 
 
-def test_detection_tree_is_pinned():
-    # the memo after every layer sweep 1 <= d <= n <= 7 from a cold memo;
+def test_detection_tree_is_pinned(rng):
+    # the memo after a fixed batch of promised searches from a cold memo: the
+    # layer sweeps 1 <= d <= n <= 7, which the layer-gap cap closes at their
+    # roots (they store at-least entries only), then sets fixed by the odd
+    # lam = 1 (mod 2^k), k >= 2, whose searches store exact and orbit entries;
     # a cap return that moved ahead of or behind a memo write changes these
     clear_detection_cache()
     for n in range(1, 8):
         for d in range(1, n + 1):
             max_cube_free_layer_unions(GroupContext(n), d)
-    assert (len(detection._exact), len(detection._atleast)) == (812, 204)
+    assert (len(detection._exact), len(detection._atleast)) == (0, 202)
+    for n in (5, 6):
+        for k in range(2, n):
+            orbits = _stabilizer_orbits(n, k)
+            for _ in range(20):
+                _maxdim(sum(o for o in orbits if rng.random() < 0.5), n, n + 2, k)
+    assert (len(detection._exact), len(detection._atleast)) == (10605, 1187)
 
 
 def test_one_shot_memo_is_pinned(rng):
@@ -426,4 +575,17 @@ def test_one_shot_memo_is_pinned(rng):
             d = rng.randint(2, n + 1)
             find_cube(A, d)
             is_cube_free(A, d)
-    assert (len(detection._exact), len(detection._atleast)) == (635, 60)
+    assert (len(detection._exact), len(detection._atleast)) == (607, 88)
+
+
+def test_run_masks_are_tabled_for_small_groups_only():
+    # a table of Z_{2^21} would hold 2^21 masks of 2^21 bits (2^42 bits), so
+    # wider groups build each mask as it is read; the kept tables hold at most
+    # 16 * 2^10 masks of 2^10 bits
+    assert detection._run_masks(10, 3) is detection._run_masks(10, 3)
+    wide = detection._run_masks(groups.MAX_N, 3)
+    assert not isinstance(wide, tuple)
+    assert [next(wide) for _ in range(3)] == [1, 0b1110, 0b1010100]
+    assert detection._run_table.cache_info().maxsize * (1 << groups._TABLE_MAX_N) ** 2 <= 1 << 24
+    A = ResidueSet.from_members(GroupContext(11), [5, 10, 15, 2000])
+    assert find_multiple_run(A, 3) == 5 and find_multiple_run(A, 4) is None

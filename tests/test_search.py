@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cubefree.construction import construction_size
 from cubefree.detection import is_cube_free
 from cubefree.errors import CapacityError
-from cubefree.groups import GroupContext, ResidueSet, _layer_masks, centred_set
+from cubefree.groups import MAX_N, GroupContext, ResidueSet, _layer_masks, centred_set
 from cubefree.counting import count_schur_triples
 from cubefree.search import (
     _bnb_max,
@@ -369,6 +369,18 @@ def test_degenerate_pattern_optimum_matches_conjectured_value():
     # the LP form of the same model agrees by brute force at n = 3
     assert lp_brute_force_optimum(
         export_lp(GroupContext(3), 3, patterns="degenerate"), 8) == 5
+
+
+def test_degenerate_patterns_honour_the_budget():
+    # the 2^n (2^n + 1) patterns are counted before any mask is built
+    with pytest.raises(CapacityError) as info:
+        degenerate_3cube_masks(GroupContext(MAX_N), budget=10 ** 12)
+    assert info.value.space_size == (1 << 21) * ((1 << 21) + 1)
+    with pytest.raises(CapacityError):
+        export_lp(GroupContext(12), 3, patterns="degenerate")  # 16,781,312 > 5,000,000 by default
+    assert len(degenerate_3cube_masks(GroupContext(3), budget=72)) == len(degenerate_3cube_masks(GroupContext(3)))
+    with pytest.raises(CapacityError):
+        degenerate_3cube_masks(GroupContext(3), budget=71)
 
 
 def test_degenerate_export_at_desk_scale():
