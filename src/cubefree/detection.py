@@ -37,9 +37,9 @@ price of a few mask ANDs.
   2^m + x of them then hold x + 1 disjoint zero-sum parts, and the parts'
   sums with the high generators span a cube inside D & 2^(m+1) Z.  Each
   set is halved down to its lowest layer first, so m counts from there,
-  and the cap recurses on the word of valuations present: it is a function
-  of that word, memoized per word.  The first gap is used, and only if
-  m <= GAP_CAP_MAX_M = 3, the largest k at which every x is checked
+  and the cap recurses on the word of valuations present.  The first gap
+  is used, and only if m <= GAP_CAP_MAX_M = 3, the largest k at which
+  every x is checked
   (tests/test_detection.py::test_gap_cap_premise and
   test_gap_cap_uses_only_checked_gaps).  Without such a gap the cap is the
   zero-sum cap 2^(top-low+1) - 1, the gap above the top layer: among that
@@ -76,8 +76,7 @@ lexicographic order and returns the smallest witness.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .groups import (MAX_N, _TABLE_MAX_N, GeneratorMultiset, ResidueSet, _halve_even, _layer_masks,
                      _layers_holding, mask_members, scale_mask)
@@ -102,25 +101,18 @@ class CubeWitness:
 
 
 GAP_CAP_MAX_M = 3  # largest gap the layer-gap cap uses: the dichotomy is checked for every x at k <= 3
-_WORD_CAPS_LIMIT = 1 << 16  # entries of _word_caps before it is cleared
-_word_caps: dict[int, int] = {}
 
 
 def _word_cap(word: int) -> int:
     """The layer-gap cap for a set whose valuations present are the bits of a nonzero word."""
-    cap = _word_caps.get(word)
-    if cap is None:
-        cap, rest = 0, word
-        while rest:
-            rest >>= (rest & -rest).bit_length() - 1  # halve down to the lowest layer present
-            m = (rest ^ (rest + 1)).bit_length() - 1  # the first valuation missing
-            if m > GAP_CAP_MAX_M:
-                m = rest.bit_length()  # no usable gap: the zero-sum cap above the top layer
-            cap += (1 << m) - 1
-            rest >>= m + 1
-        if len(_word_caps) >= _WORD_CAPS_LIMIT:
-            _word_caps.clear()
-        _word_caps[word] = cap
+    cap, rest = 0, word
+    while rest:
+        rest >>= (rest & -rest).bit_length() - 1  # halve down to the lowest layer present
+        m = (rest ^ (rest + 1)).bit_length() - 1  # the first valuation missing
+        if m > GAP_CAP_MAX_M:
+            m = rest.bit_length()  # no usable gap: the zero-sum cap above the top layer
+        cap += (1 << m) - 1
+        rest >>= m + 1
     return cap
 
 
@@ -307,21 +299,8 @@ def find_cube(A: ResidueSet, d: int) -> CubeWitness | None:
     return None
 
 
-def _run_masks(n: int, m: int) -> Iterable[int]:
-    """For each x in turn, the mask of {x, 2x, ..., m*x} modulo 2^n.
-
-    Kept as a table up to _TABLE_MAX_N only, as the layer tables are: a
-    table of a wider group would hold 2^n masks of 2^n bits each.
-    """
-    return _run_table(n, m) if n <= _TABLE_MAX_N else _runs(n, m)
-
-
-@lru_cache(maxsize=16)  # at most 16 tables of at most 2^10 masks of 2^10 bits
-def _run_table(n: int, m: int) -> tuple[int, ...]:
-    return tuple(_runs(n, m))
-
-
-def _runs(n: int, m: int) -> Iterator[int]:
+def _run_masks(n: int, m: int) -> Iterator[int]:
+    """For each x in turn, the mask of {x, 2x, ..., m*x} modulo 2^n."""
     size = 1 << n
     for x in range(size):
         mask = 0
