@@ -163,7 +163,7 @@ def _cmd_max_search(args, budget) -> tuple[Any, str]:
         if args.solution is None:
             raise ValueError("--solution is required for --mode validate")
         text = Path(args.solution).read_text()
-        report = validate_assignment(ctx, args.d, text, patterns=args.patterns)
+        report = validate_assignment(ctx, args.d, text, patterns=args.patterns, budget=budget)
         return report, STATUS_OK
     raise ValueError(f"unknown mode {args.mode!r}")
 

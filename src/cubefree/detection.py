@@ -48,27 +48,6 @@ price of a few mask ANDs.
   (tests/test_sumsets.py::test_stalled_step_contains_generated_subgroup and
   tests/test_detection.py::test_zero_sum_cap_premise check those premises.)
 
-Symmetry prunes generators.  Suppose every odd lam = 1 (mod 2^k) fixes D.
-Then lam (D & (D - g)) = D & (D - lam g), so g and lam g give children of
-equal maxdim, and the orbit of g = 2^v u (u odd) under those lam is every
-residue = g (mod 2^(k+v)), or just g once k + v >= n.  Only the generators
-g < 2^(k+v) are branched on, and the child D & (D - g) is fixed by every
-lam = 1 (mod 2^k') with
-
-    k' = max(k, n - v),
-
-since those lam fix g too.  Halving and odd scaling keep the promise.  A
-union of layers is fixed by every odd lam, so it starts from k = 1; k >= n
-promises nothing and prunes nothing.
-
-A set has up to |D_odd| normalized forms, one per odd member scaled to 1.
-Under the promise a node also keys on the least of them (one scaling per
-class mod 2^k of its odd members) and stores its value under both keys.  It
-looks that key up once its first child leaves the cap unreached, since in
-the shallow sweeps of Z_{2^10} the nodes done after one child hold hundreds
-of odd members, a scaling each.  One-shot queries carry no promise and keep
-the cheap key alone: there the scalings cost more than the hits save.
-
 The witness engine explores non-decreasing generator tuples in
 lexicographic order and returns the smallest witness.
 """
@@ -78,8 +57,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .groups import (MAX_N, _TABLE_MAX_N, GeneratorMultiset, ResidueSet, _halve_even, _layer_masks,
-                     _layers_holding, mask_members, scale_mask)
+from .groups import (_TABLE_MAX_N, GeneratorMultiset, ResidueSet, _halve_even, _layer_masks,
+                     _layers_holding, scale_mask)
 from .sumsets import projective_cube
 
 
@@ -163,20 +142,8 @@ def _remember(table: dict[tuple[int, int], int], key: tuple[int, int], value: in
     table[key] = value
 
 
-def _orbit_key(mask: int, n: int, k: int) -> int:
-    """The least mask holding 1 among the odd scalings of a normalized set fixed by lam = 1 (mod 2^k)."""
-    size = 1 << n
-    odd = mask & (_layer_masks(n) if n <= _TABLE_MAX_N else _layers_holding(mask, n))[0]
-    odd &= (1 << (1 << min(k, n))) - 4  # one odd member per class mod 2^k, but 1 (lam = 1)
-    return min([mask, *(scale_mask(mask, pow(u, -1, size), size) for u in mask_members(odd))])
-
-
-def _maxdim(mask: int, n: int, cap: int, k: int = MAX_N + 1) -> int:
-    """min(largest cube dimension inside the set, cap).
-
-    ``k`` promises that every odd lam = 1 (mod 2^k) fixes the set
-    (1 <= k <= MAX_N); the default promises nothing and skips the orbit key.
-    """
+def _maxdim(mask: int, n: int, cap: int) -> int:
+    """min(largest cube dimension inside the set, cap)."""
     if cap <= 0 or mask == 0:
         return 0
     if mask & 1:
@@ -200,62 +167,43 @@ def _maxdim(mask: int, n: int, cap: int, k: int = MAX_N + 1) -> int:
     best = 1
     seen = {0}
     rest = mask
-    child_k = k
-    okey = None if k <= MAX_N else ()  # the orbit key, looked up once the first child is in
     while rest:
         low = rest & -rest
         g = low.bit_length() - 1
         rest ^= low
-        if k < n:
-            v = (g & -g).bit_length() - 1
-            if g >> (k + v):
-                continue  # g = lam g' for a smaller g' in its orbit
-            child_k = max(k, n - v)
         # D & (D - g): the candidate set after adopting the generator g
         child = mask & (doubled >> g)
         if child in seen:
             continue
         seen.add(child)
-        sub = _maxdim(child, n, cap - 1, child_k)
+        sub = _maxdim(child, n, cap - 1)
         if 1 + sub > best:
             best = 1 + sub
             if best >= cap:
                 break
-        if okey is None:
-            okey = (n, _orbit_key(mask, n, k))
-            exact = _exact.get(okey)
-            if exact is not None:
-                _remember(_exact, key, exact)
-                return exact if exact < cap else cap
-            if _atleast.get(okey, 0) >= cap:
-                _remember(_atleast, key, cap)
-                return cap
     if best < cap:
         _remember(_exact, key, best)
     elif best > _atleast.get(key, 0):
         _remember(_atleast, key, best)
-    if okey:  # looked up and missed, so best is new there
-        _remember(_exact if best < cap else _atleast, okey, best)
     return best
 
 
-def max_cube_dimension(A: ResidueSet, cap: int, scale_invariant: bool = False) -> int:
-    """Largest cube dimension found in A, capped at ``cap``.
-
-    ``scale_invariant=True`` is a caller promise that A is fixed by every
-    odd scaling (true for unions of layers); generators are then branched
-    on one per orbit of the stabilizer (see the module docstring).
-    """
+def max_cube_dimension(A: ResidueSet, cap: int) -> int:
+    """Largest cube dimension found in A, capped at ``cap``."""
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    return _maxdim(A.mask, A.ctx.n, cap, 1 if scale_invariant else MAX_N + 1)
+    return _maxdim(A.mask, A.ctx.n, cap)
 
 
 def is_cube_free(A: ResidueSet, d: int, scale_invariant: bool = False) -> bool:
-    """True iff A contains no projective d-cube."""
+    """True iff A contains no projective d-cube.
+
+    ``scale_invariant`` is accepted and ignored; it goes once the benchmark
+    stops passing it.
+    """
     if d < 1:
         raise ValueError(f"cube dimension must be positive, got {d}")
-    return max_cube_dimension(A, d, scale_invariant=scale_invariant) < d
+    return max_cube_dimension(A, d) < d
 
 
 def find_cube(A: ResidueSet, d: int) -> CubeWitness | None:

@@ -24,8 +24,8 @@ The layer-union search counts v down from 2^n - 1: with L_i on bit n - i,
 the union of the layers L_1..L_n picked by the bits of v has exactly v
 residues, so the first cube-free union is a largest one.  Unions holding
 L_{n+1} = {0} contain every cube and are never tested.  Each union is
-analysed with the scale-invariant detection engine in the smallest group
-containing its top layer, so sweeps share the detection memo.
+analysed with the detection engine in the smallest group containing its
+top layer, so sweeps share the detection memo.
 
 No external solver is embedded: LP and DIMACS models are emitted as text,
 and a separate validator re-checks solver output against the actual
@@ -105,18 +105,22 @@ def cube_constraint_masks(ctx: GroupContext, d: int, budget: int | None = None) 
     return _minimal_unique(list(seen))
 
 
+def _check_degenerate_space(size: int, budget: int | None) -> None:
+    """Raise CapacityError when the size (size + 1) degenerate 3-cube patterns exceed the budget."""
+    space = size * (size + 1)
+    if budget is not None and space > budget:
+        raise CapacityError(f"{space} degenerate 3-cube patterns exceed the budget of {budget}",
+                            space_size=space)
+
+
 def degenerate_3cube_masks(ctx: GroupContext, budget: int | None = None) -> list[int]:
     """Masks of the restricted 3-cube families {x,x,x} and {x,3x,y}.
 
     Raises CapacityError, before any mask is built, when the 2^n (2^n + 1)
     patterns exceed the budget.
     """
-    budget = DEFAULT_ENUM_BUDGET if budget is None else budget
     size = ctx.modulus
-    space = size * (size + 1)
-    if space > budget:
-        raise CapacityError(f"{space} degenerate 3-cube patterns exceed the budget of {budget}",
-                            space_size=space)
+    _check_degenerate_space(size, DEFAULT_ENUM_BUDGET if budget is None else budget)
     masks = []
     for x in range(size):
         masks.append(cube_mask((x, x, x), ctx))
@@ -278,7 +282,7 @@ def union_max_dimension(layer_indices: tuple[int, ...], ctx: GroupContext, cap: 
     umask = 0
     for i in layer_indices:
         umask |= masks[i - 1]
-    return max_cube_dimension(ResidueSet(eff, umask & eff.full_mask), cap, scale_invariant=True)
+    return max_cube_dimension(ResidueSet(eff, umask & eff.full_mask), cap)
 
 
 def max_cube_free_layer_unions(ctx: GroupContext, d: int,
@@ -479,11 +483,13 @@ def parse_assignment(text: str, size: int) -> dict[int, float]:
 
 
 def validate_assignment(ctx: GroupContext, d: int, assignment: dict[int, float] | str,
-                        patterns: str = "all") -> dict:
+                        patterns: str = "all", budget: int | None = None) -> dict:
     """Re-check a solver assignment against the real predicate.
 
     Returns feasibility (cube-freeness of the selected set under the chosen
-    pattern family) and the objective value |A|.
+    pattern family) and the objective value |A|.  For the degenerate family,
+    ``budget`` caps the 2^n (2^n + 1) patterns checked (None: no cap) and
+    raises CapacityError before any is.
     """
     if isinstance(assignment, str):
         assignment = parse_assignment(assignment, ctx.modulus)
@@ -495,6 +501,7 @@ def validate_assignment(ctx: GroupContext, d: int, assignment: dict[int, float] 
     elif patterns == "degenerate":
         if d != 3:
             raise ValueError("the degenerate pattern family is defined for d = 3")
+        _check_degenerate_space(ctx.modulus, budget)
         feasible = find_degenerate_3cube(A) is None
     else:
         raise ValueError(f"unknown pattern family {patterns!r}")

@@ -8,6 +8,8 @@ from pathlib import Path
 import pytest
 
 from cubefree import cli
+from cubefree.construction import layered_construction
+from cubefree.groups import GroupContext
 
 
 def run_cli(*argv):
@@ -151,6 +153,23 @@ def test_degenerate_patterns_budget_exits_two():
     assert code == 2 and report.status == "budget_exceeded"
     assert report.result["space_size"] == 1049600
     assert time.perf_counter() - start < 1.0
+
+
+def test_degenerate_validation_budget_exits_two(tmp_path, capsys):
+    # the 2^12 (2^12 + 1) patterns are counted before any x is tried
+    sol = tmp_path / "construction.txt"
+    built = layered_construction(3, GroupContext(12))
+    sol.write_text("".join(f"x{v} 1\n" for v in built.members()))
+    argv = ["max-search", "--n", "12", "--d", "3", "--mode", "validate",
+            "--patterns", "degenerate", "--solution", str(sol)]
+    assert cli.main([*argv, "--budget", "10"]) == 2
+    out, err = capsys.readouterr()
+    assert err == "" and sum('"error":' in line for line in out.splitlines()) == 1
+    assert json.loads(out)["result"]["error"] == (
+        "16781312 degenerate 3-cube patterns exceed the budget of 10")
+    code, report = run_cli(*argv)
+    assert code == 0 and report.result["feasible"]
+    assert report.result["objective"] == len(built)
 
 
 def test_budget_env_override(monkeypatch):

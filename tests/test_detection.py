@@ -1,7 +1,7 @@
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubefree import detection, groups
@@ -10,7 +10,6 @@ from cubefree.detection import (
     CubeWitness,
     _maxdim,
     _normalize,
-    _orbit_key,
     _span_cap,
     clear_detection_cache,
     find_cube,
@@ -28,12 +27,12 @@ from cubefree.groups import (
     layer_range_set,
     layer_set,
     mask_members,
-    scale_mask,
     shift_mask,
 )
 from cubefree.oracle import ResidueCollection, disjoint_zero_sets
 from cubefree.search import max_cube_free_layer_unions
 from cubefree.sumsets import cube_mask, projective_cube
+from cubefree.verify import _naive_contains_cube
 
 
 def test_find_cube_returns_lex_smallest_witness(ctx3):
@@ -75,17 +74,19 @@ def test_max_cube_dimension_cap(ctx3):
     assert max_cube_dimension(punctured, 50) == 7
 
 
-def test_scale_invariant_flag_agrees():
-    # each side from a cold memo, so neither reads back what the other stored
-    for n in range(1, 7):
+def test_layer_unions_match_enumeration():
+    # every union of L_1..L_n without {0}, n <= 5: a cube of dimension md
+    # exists and none of dimension md + 1 (checked while md + 1 <= n + 1)
+    clear_detection_cache()
+    for n in range(1, 6):
+        ctx = GroupContext(n)
         layers = _layer_masks(n)
-        unions = [sum(layers[i] for i in range(n + 1) if v >> i & 1) for v in range(1 << (n + 1))]
-        sides = []
-        for promised in (False, True):
-            clear_detection_cache()
-            sides.append([max_cube_dimension(ResidueSet(GroupContext(n), mask), cap, promised)
-                          for mask in unions for cap in range(n + 2)])
-        assert sides[0] == sides[1]
+        for v in range(1, 1 << n):
+            A = ResidueSet(ctx, sum(layers[i] for i in range(n) if v >> i & 1))
+            md = max_cube_dimension(A, n + 2)
+            assert _naive_contains_cube(A, md)
+            if md + 1 <= n + 1:
+                assert not _naive_contains_cube(A, md + 1)
 
 
 def test_find_cube_witness_is_lex_minimal(rng):
@@ -330,100 +331,6 @@ def _stabilizer_orbits(n, k):
     return orbits
 
 
-@st.composite
-def stabilized_sets(draw):
-    """(mask, n, k, cap): a set fixed by every odd lam = 1 (mod 2^k).
-
-    Dense sets, k near n and deep caps are favoured: a wrong stabilizer
-    handed to a child shows only when a high-valuation generator is followed
-    by one the false symmetry would prune, and only when the search runs deep.
-    """
-    n = draw(st.integers(2, 6))
-    k = draw(st.one_of(st.sampled_from((n - 1, max(1, n - 2))), st.integers(1, n)))
-    orbits = _stabilizer_orbits(n, k)
-    # an orbit is kept unless its draw in [0, odds) is 0; at n = 6 odds stays 2,
-    # since dense sets there take seconds each
-    odds = draw(st.integers(2, 4 if n <= 5 else 2))
-    picks = draw(st.lists(st.integers(0, odds - 1), min_size=len(orbits), max_size=len(orbits)))
-    mask = 0
-    for orbit, pick in zip(orbits, picks):
-        if pick:
-            mask |= orbit
-    deep = 1 << n if n <= 4 else 2 * n
-    cap = draw(st.one_of(st.just(deep), st.integers(0, deep)))
-    return mask, n, k, cap
-
-
-@settings(max_examples=250, deadline=None)
-@given(stabilized_sets())
-# each example fails one wrong rule: the child keeping k, the child taking
-# n - v without the max, and branching only on g < 2^(k+v-1)
-@example((44216, 4, 3, 4))  # {3, 4, 5, 7, 10, 11, 13, 15}: maxdim 4
-@example((29381060, 5, 4, 5))  # {2, 6, 7, 8, 12, 14, 22, 23, 24}: maxdim 5
-@example((14, 2, 1, 2))  # {1, 2, 3}: maxdim 3
-def test_orbit_pruning_matches_unpruned(case):
-    mask, n, k, cap = case
-    clear_detection_cache()
-    pruned = _maxdim(mask, n, cap, k)
-    clear_detection_cache()
-    assert pruned == _maxdim(mask, n, cap)
-
-
-def _fixing_exponents(mask, n):
-    """Every k in [1, n] such that each odd lam = 1 (mod 2^k) fixes the set."""
-    size = 1 << n
-    return [k for k in range(1, n + 1)
-            if all(scale_mask(mask, lam, size) == mask for lam in range(1, size, 1 << k))]
-
-
-@st.composite
-def orbit_key_cases(draw):
-    """(mask, n, lam): a normalized set of Z_{2^n}, n <= 8, and an odd scaling."""
-    if draw(st.booleans()):
-        mask, n, _, _ = draw(stabilized_sets())
-    else:
-        n = draw(st.integers(1, 8))
-        mask = draw(st.integers(0, (1 << (1 << n)) - 1))
-    mask &= ~1
-    assume(mask)
-    mask, n = _normalize(mask, n)
-    return mask, n, draw(st.integers(0, (1 << (n - 1)) - 1)) * 2 + 1
-
-
-@settings(max_examples=200, deadline=None)
-@given(orbit_key_cases())
-@example((0b1000010, 3, 3))  # {1, 6}: its least scaling {2, 3} lacks 1, the key is {1, 6}
-@example((0b10101010, 3, 5))  # L_1 of Z_8: every scaling fixes it
-def test_orbit_key_is_the_least_normalized_scaling(case):
-    # the key is the least mask holding 1 over all odd scalings (over one lam
-    # per class mod 2^k when k < n), and every set of the orbit gets it
-    mask, n, lam = case
-    size = 1 << n
-    for k in _fixing_exponents(mask, n):
-        images = {scale_mask(mask, mu, size) for mu in range(1, size, 2)}
-        assert images == {scale_mask(mask, mu, size) for mu in range(1, 1 << k, 2)}
-        key = _orbit_key(mask, n, k)
-        assert key == min(image for image in images if image & 2)
-        assert _orbit_key(*_normalize(scale_mask(mask, lam, size), n), k) == key
-
-
-def test_orbit_entries_are_read_within_the_cap():
-    # D = 11 K for K = {1, 2, 3, 4, 7}, of maxdim 4; the first child of D,
-    # {11, 12}, holds no 2-cube, so at cap 3 D reads the entry of its orbit key K
-    D = sum(1 << x for x in (1, 6, 11, 12, 13))
-    K = sum(1 << x for x in (1, 2, 3, 4, 7))
-    assert _orbit_key(D, 4, 4) == K == scale_mask(D, 3, 16)
-    clear_detection_cache()
-    assert _maxdim(D, 4, 3, 4) == 3  # a capped value is a lower bound under both keys
-    D5 = scale_mask(D, 5, 16)  # {1, 5, 7, 12, 14}: first child {7, 12}, then K's entry
-    assert _maxdim(D5, 4, 3, 4) == 3 and detection._atleast[(4, D5)] == 3
-    assert _maxdim(K, 4, 99, 4) == 4
-    clear_detection_cache()
-    assert _maxdim(K, 4, 99, 4) == 4
-    assert _maxdim(D, 4, 3, 4) == 3  # an exact hit is capped, and copied to the cheap key
-    assert detection._exact[(4, D)] == 4
-
-
 def test_memo_bound_keeps_answers(monkeypatch, rng):
     ctx = GroupContext(4)
     queries = [(ResidueSet(ctx, rng.getrandbits(16)), rng.randint(2, 5)) for _ in range(200)]
@@ -546,10 +453,10 @@ def test_wide_groups_share_the_kept_table():
 
 
 def test_detection_tree_is_pinned(rng):
-    # the memo after a fixed batch of promised searches from a cold memo: the
-    # layer sweeps 1 <= d <= n <= 7, which the layer-gap cap closes at their
-    # roots (they store at-least entries only), then sets fixed by the odd
-    # lam = 1 (mod 2^k), k >= 2, whose searches store exact and orbit entries;
+    # the memo after a fixed batch of searches from a cold memo: the layer
+    # sweeps 1 <= d <= n <= 7, which the layer-gap cap closes at their roots
+    # (they store at-least entries only), then unions of the orbits of the
+    # odd lam = 1 (mod 2^k), k >= 2, whose searches store exact entries;
     # a cap return that moved ahead of or behind a memo write changes these
     clear_detection_cache()
     for n in range(1, 8):
@@ -560,13 +467,12 @@ def test_detection_tree_is_pinned(rng):
         for k in range(2, n):
             orbits = _stabilizer_orbits(n, k)
             for _ in range(20):
-                _maxdim(sum(o for o in orbits if rng.random() < 0.5), n, n + 2, k)
-    assert (len(detection._exact), len(detection._atleast)) == (10605, 1187)
+                _maxdim(sum(o for o in orbits if rng.random() < 0.5), n, n + 2)
+    assert (len(detection._exact), len(detection._atleast)) == (12386, 1613)
 
 
 def test_one_shot_memo_is_pinned(rng):
-    # the memo after a fixed batch of one-shot queries from a cold memo: they
-    # carry no stabilizer promise, so they store and read no orbit keys
+    # the memo after a fixed batch of one-shot queries from a cold memo
     clear_detection_cache()
     for n in (5, 6):
         ctx = GroupContext(n)
