@@ -9,8 +9,8 @@ The mask kernels live here and nowhere else: ``shift_mask`` (the translate
 A + c, the fold step of ``cube_mask``), ``subset_sums`` (the fold behind
 collection sumsets and half-sum tests) and ``scale_mask`` (the dilate
 lam * A, odd scaling in particular).
-Detection and counting read each translate A - x off the doubled mask
-A | A << 2^n with one right shift instead.
+Detection, and counting on sparse sets, read each translate A - x off the
+doubled mask A | A << 2^n with one right shift instead.
 
 ``scale_mask`` has two regimes.  An odd lam permutes Z_{2^n} as an
 automorphism of its 2-adic tree, so it can run as at most n - 1 delta
@@ -273,18 +273,26 @@ class GeneratorMultiset:
         return len(self.elements)
 
 
-class _LayerTables(dict):
-    """n -> masks of the layers of Z_{2^n}, entry v: L_(v+1); every n <= _TABLE_MAX_N is kept, one wider n."""
+class _KernelTables(dict):
+    """n -> ``build(n)``, a kernel table of Z_{2^n} built at first use; every n <= _TABLE_MAX_N is kept, one wider n."""
 
-    def __missing__(self, n: int) -> tuple[int, ...]:
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, n: int):
         if n > _TABLE_MAX_N and max(self, default=0) > _TABLE_MAX_N:
             del self[max(self)]
-        # bit 2^v repeated every 2^(v+1) bits
-        table = self[n] = tuple(_periodic(1 << (1 << v), 2 << v, n) for v in range(n)) + (1,)
+        table = self[n] = self.build(n)
         return table
 
 
-_layer_tables = _LayerTables()
+def _build_layer_masks(n: int) -> tuple[int, ...]:
+    """Masks of the layers of Z_{2^n}, entry v: L_(v+1); bit 2^v repeated every 2^(v+1) bits."""
+    return tuple(_periodic(1 << (1 << v), 2 << v, n) for v in range(n)) + (1,)
+
+
+_layer_tables = _KernelTables(_build_layer_masks)
 _layer_masks = _layer_tables.__getitem__  # a dict lookup costs half an lru_cache call
 
 

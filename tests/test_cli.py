@@ -46,6 +46,26 @@ def test_count_st_command():
     assert report.result["by_layer"]["1"]["sum_above"] == 4
 
 
+def test_count_st_walks_sparse_sets_of_the_widest_group():
+    code, report = run_cli("count-st", "--n", "21", "--set", "1,2,3,5")
+    assert code == 0 and report.result["st"] == 5
+    # 1 + 1 = 2 leaves L_1; 1 + 2 = 3 and 3 + 2 = 5 take y from L_2, and their mirrors x
+    assert report.result["by_layer"] == {
+        "1": {"sum_above": 1, "middle_above": 2, "first_above": 2}}
+    # the 256 multiples of 2^13, spread over Z_{2^21}: the member loop takes well
+    # under a second where the spread product, 2^21 fields of 22 bits, takes minutes
+    subgroup = ",".join(map(str, range(0, 1 << 21, 1 << 13)))
+    start = time.perf_counter()
+    code, report = run_cli("count-st", "--n", "21", "--set", subgroup)
+    assert time.perf_counter() - start < 5.0
+    assert code == 0 and report.result["st"] == 256 ** 2
+    # L_a of the subgroup, 14 <= a <= 21, holds 2^(21 - a) members; every pair of
+    # them sums above a, and every sum with a member above a stays in L_a
+    assert report.result["by_layer"] == {
+        str(a): dict.fromkeys(("sum_above", "middle_above", "first_above"), 4 ** (21 - a))
+        for a in range(14, 22)}
+
+
 def naive_schur_triples(members, modulus):
     chosen = set(members)
     return sum(1 for x in chosen for y in chosen if (x + y) % modulus in chosen)

@@ -1,10 +1,13 @@
-from itertools import combinations
+import random
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubefree import counting
 from cubefree.counting import (
+    _pair_sums_in,
     count_schur_triples,
     count_triples_by_layer,
     layer_profile,
@@ -45,11 +48,56 @@ def test_count_matches_naive_sampled(rng):
         assert count_schur_triples(A) == naive_schur(A)
 
 
+def naive_pair_sums(X, Y, Z):
+    """#{(x, y) in X x Y : x + y in Z}, one pair at a time."""
+    return sum(1 for x in X for y in Y if (x + y) % X.ctx.modulus in Z)
+
+
+def masks(n):
+    """Masks of Z_{2^n} of any size from empty to full, so both kernel paths are drawn."""
+    size = 1 << n
+    return st.tuples(st.integers(0, size), st.integers(0, 2 ** 32)).map(
+        lambda c: sum(1 << x for x in random.Random(c[1]).sample(range(size), c[0])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(st.just(n), masks(n), masks(n), masks(n))))
+def test_pair_sums_match_naive_property(case):
+    n, *sets = case
+    X, Y, Z = (ResidueSet(GroupContext(n), mask) for mask in sets)
+    assert _pair_sums_in(X.mask, Y.mask, Z.mask, n) == naive_pair_sums(X, Y, Z)
+
+
+def test_pair_sums_take_the_loop_below_the_density_rule(monkeypatch):
+    spreads = []
+    real_spread = counting._spread
+    monkeypatch.setattr(counting, "_spread", lambda *a: spreads.append(a) or real_spread(*a))
+    # fewer than max(12, 2^n / 8) members in the smaller of X and Y: the loop
+    for n, members in ((4, 11), (9, 63), (9, 11)):
+        X = (1 << members) - 1
+        _pair_sums_in(X, (1 << (1 << n)) - 1, X, n)
+        assert spreads == []
+    for n, members in ((4, 12), (9, 64)):
+        X = (1 << members) - 1
+        assert _pair_sums_in(X, X << 1, X, n) == _pair_sums_in(X << 1, X, X, n) \
+            == naive_pair_sums(*(ResidueSet(GroupContext(n), m) for m in (X, X << 1, X)))
+        assert len(spreads) == 4  # X and Y spread once per call, Z is X
+        spreads.clear()
+
+
 def test_count_matches_naive_at_the_wrap():
-    for n in range(1, 8):
+    # each pair count goes round 2^n - 1 -> 0; with a full X or Y, every z in Z
+    # is hit once per member of the other set
+    for n in range(1, 11):
         ctx = GroupContext(n)
         top = ctx.modulus - 1
-        for members in ([], [0], [top], [0, top], [1, top], range(ctx.modulus)):
+        full = ResidueSet.full(ctx)
+        cases = [ResidueSet.from_members(ctx, c) for c in ([], [0], [top])] + [full]
+        for X, Y, Z in product(cases, repeat=3):
+            want = len(X) * len(Z) if Y == full else \
+                len(Y) * len(Z) if X == full else naive_pair_sums(X, Y, Z)
+            assert _pair_sums_in(X.mask, Y.mask, Z.mask, n) == want, (n, X, Y, Z)
+        for members in ([0, top], [1, top]):
             A = ResidueSet.from_members(ctx, members)
             assert count_schur_triples(A) == naive_schur(A)
 
@@ -112,8 +160,7 @@ def naive_triples_by_layer(A):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 6).flatmap(
-    lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))))
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(st.just(n), masks(n))))
 def test_triples_by_layer_matches_naive_classification(case):
     n, mask = case
     A = ResidueSet(GroupContext(n), mask)
