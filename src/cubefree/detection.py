@@ -12,16 +12,15 @@ dimension satisfies
     maxdim(D) = max over g in D of  1 + maxdim(D & (D - g)).
 
 maxdim is intrinsic to D, which allows a single global memo table (cleared
-whole once it holds _MEMO_LIMIT entries) plus two exact reductions: a set
-of even residues halves into Z_{2^(n-1)}, and odd scaling is free
-(Sigma*(lam Y) = lam Sigma*Y), so the smallest odd element is normalized to
-1 before lookup.
+whole once it holds _MEMO_LIMIT entries) plus one exact reduction: a set
+of even residues halves into Z_{2^(n-1)}, so each set is halved down to
+its lowest layer before lookup.
 
 Two sound caps bound the recursion when 0 is not in D.  Both come first,
 from the raw mask: |D| and the valuations present, up to a shift, do not
-change under halving or odd scaling.  Only a set whose capped value stays
-above 1 is normalized and looked up, so the caps decide most calls for the
-price of a few mask ANDs.
+change under halving, and the lowest valuation present is the number of
+halvings.  Only a set whose capped value stays above 1 is halved and looked
+up, so the caps decide most calls for the price of a few mask ANDs.
 
 * size cap -- each generator strictly shrinks D (a stalled step would put
   the cyclic subgroup generated by g, hence 0, inside D), so
@@ -50,6 +49,10 @@ price of a few mask ANDs.
 
 The witness engine explores non-decreasing generator tuples in
 lexicographic order and returns the smallest witness.
+
+Both engines recurse once per generator, so a dimension near the
+interpreter's recursion limit ends in CapacityError.  The memo stores
+finished values only, so answers after such a failure are unchanged.
 """
 
 from __future__ import annotations
@@ -57,8 +60,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from .errors import CapacityError
 from .groups import (_TABLE_MAX_N, GeneratorMultiset, ResidueSet, _halve_even, _layer_masks,
-                     _layers_holding, scale_mask)
+                     _layers_holding)
 from .sumsets import projective_cube
 
 
@@ -95,34 +99,26 @@ def _word_cap(word: int) -> int:
     return cap
 
 
-def _span_cap(mask: int, n: int) -> int:
-    """min(|D|, the layer-gap cap of the valuations present in D); the size and gap caps.
+def _span_cap(mask: int, n: int) -> tuple[int, int]:
+    """(min(|D|, the layer-gap cap of the valuations present in D), the lowest valuation present).
 
-    Requires a nonzero mask without bit 0.  Halving and odd scaling keep
-    |D| and the valuations present up to a shift, so the cap is read off
-    the raw mask.
+    The first entry is the size and gap caps, the second the number of
+    halvings to D's lowest layer.  Requires a nonzero mask without bit 0.
+    Halving keeps |D| and the valuations present up to a shift, so the cap
+    is read off the raw mask.
     """
     layers = _layer_masks(n) if n <= _TABLE_MAX_N else _layers_holding(mask, n)
     word = 0
     for v in range(len(layers) - 2, -1, -1):
         word = word << 1 | (mask & layers[v] != 0)
-    return min(mask.bit_count(), _word_cap(word))
+    return min(mask.bit_count(), _word_cap(word)), (word & -word).bit_length() - 1
 
 
-def _normalize(mask: int, n: int) -> tuple[int, int]:
-    """Halve all-even sets and scale the smallest odd element to 1.
-
-    Requires a nonzero mask without bit 0.  Both steps preserve maxdim.
-    """
-    odd = (_layer_masks(n) if n <= _TABLE_MAX_N else _layers_holding(mask, n))[0]
-    while not mask & odd:  # the odd residues of Z_{2^n} include those of smaller groups
+def _normalize(mask: int, n: int, halvings: int) -> tuple[int, int]:
+    """Halve a set of multiples of 2^halvings that many times; halving preserves maxdim."""
+    for _ in range(halvings):
         mask = _halve_even(mask, n)
         n -= 1
-    odd_bits = mask & odd
-    o = (odd_bits & -odd_bits).bit_length() - 1
-    if o != 1:
-        size = 1 << n
-        mask = scale_mask(mask, pow(o, -1, size), size)
     return mask, n
 
 
@@ -150,12 +146,13 @@ def _maxdim(mask: int, n: int, cap: int) -> int:
         return cap  # {0} is a d-cube for every d
     if cap == 1:
         return 1  # any single element is a 1-cube
-    ub = _span_cap(mask, n)
+    ub, low = _span_cap(mask, n)
     if cap > ub:
         cap = ub
     if cap <= 1:
         return cap
-    mask, n = _normalize(mask, n)
+    if low:
+        mask, n = _normalize(mask, n, low)
     key = (n, mask)
     exact = _exact.get(key)
     if exact is not None:
@@ -192,7 +189,15 @@ def max_cube_dimension(A: ResidueSet, cap: int) -> int:
     """Largest cube dimension found in A, capped at ``cap``."""
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    return _maxdim(A.mask, A.ctx.n, cap)
+    try:
+        return _maxdim(A.mask, A.ctx.n, cap)
+    except RecursionError:
+        raise _out_of_depth(cap) from None
+
+
+def _out_of_depth(d: int) -> CapacityError:
+    return CapacityError(f"the search for a {d}-cube ran out of depth: "
+                         "it needs more nested calls than the recursion limit allows")
 
 
 def is_cube_free(A: ResidueSet, d: int, scale_invariant: bool = False) -> bool:
@@ -242,7 +247,11 @@ def find_cube(A: ResidueSet, d: int) -> CubeWitness | None:
                 prefix.pop()
         return False
 
-    if rec(amask, d):
+    try:
+        found = rec(amask, d)
+    except RecursionError:
+        raise _out_of_depth(d) from None
+    if found:
         return CubeWitness.build(GeneratorMultiset.of(ctx, tuple(prefix)), A)
     return None
 

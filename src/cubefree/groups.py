@@ -6,23 +6,12 @@ set iff residue x belongs to the set), which keeps the shift/union/
 intersection primitives used by the exhaustive checks cheap.
 
 The mask kernels live here and nowhere else: ``shift_mask`` (the translate
-A + c, the fold step of ``cube_mask``), ``subset_sums`` (the fold behind
-collection sumsets and half-sum tests) and ``scale_mask`` (the dilate
-lam * A, odd scaling in particular).
+A + c, the fold step of ``cube_mask``) and ``subset_sums`` (the fold behind
+collection sumsets and half-sum tests).
 Detection, and counting on sparse sets, read each translate A - x off the
-doubled mask A | A << 2^n with one right shift instead.
-
-``scale_mask`` has two regimes.  An odd lam permutes Z_{2^n} as an
-automorphism of its 2-adic tree, so it can run as at most n - 1 delta
-swaps, whose masks cost O(2^n) Python steps to build.  A unit's network is
-built once that unit has walked 2^n / 4 members in all, and is kept
-only for masks of at most 2^10 bits: at most 1023 tables, 1.5 MB.  Until
-then, and for an even lam or a wider mask, the members are walked one at
-a time.  Above 2^10 bits a one-shot query builds too many networks and
-uses each too rarely for them to pay (see CHANGES.md for the timings).
-Detection's canonical form scales through ``scale_mask`` and halves
-all-even sets with ``_halve_even``: a log-step bit compress up to 2^10
-bits, the member walk above.
+doubled mask A | A << 2^n with one right shift instead.  Detection's
+canonical form halves all-even sets with ``_halve_even``: a log-step bit
+compress up to 2^10 bits, the member walk above.
 
 The i'th layer L_i (1 <= i <= n) consists of the residues congruent to
 2^(i-1) modulo 2^i, i.e. the residues of 2-adic valuation i-1; the extra
@@ -83,61 +72,6 @@ def subset_sums(elements: Iterable[int], size: int) -> int:
 
 
 _TABLE_MAX_N = 10  # kernel tables are kept for masks of at most 2^10 bits only
-_networks: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}  # (size, odd u) -> network
-_walked: dict[tuple[int, int], int] = {}  # (size, odd u) -> members walked before its network
-
-
-def scale_mask(mask: int, lam: int, size: int) -> int:
-    """Bit mask of {lam * x mod size : x in mask} (any integer lam, size a power of two)."""
-    if lam & 1 and size <= 1 << _TABLE_MAX_N:
-        key = (size, lam & (size - 1))
-        network = _networks.get(key)
-        if network is None:
-            network = _network_once_paid_for(key, mask.bit_count())
-        if network is not None:
-            for shift, swaps in network:
-                t = (mask ^ mask >> shift) & swaps
-                mask ^= t | t << shift
-            return mask
-    scaled = 0
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        scaled |= 1 << (lam * (low.bit_length() - 1) % size)
-    return scaled
-
-
-def _network_once_paid_for(key: tuple[int, int], members: int) -> tuple[tuple[int, int], ...] | None:
-    """The network of ``key``, built and kept once its unit has paid for it in walks; else None.
-
-    Building a network costs about as much as walking size / 4 members, so
-    a unit is walked until it has walked that many in all (the ski-rental
-    rule: no sequence of calls costs much more than twice the better of
-    always walking and building at first use).
-    """
-    size, u = key
-    walked = _walked.get(key, 0) + members
-    if walked < size >> 2:
-        _walked[key] = walked
-        return None
-    _walked.pop(key, None)
-    network = _networks[key] = _scaling_network(size.bit_length() - 1, u)
-    return network
-
-
-def _scaling_network(n: int, u: int) -> tuple[tuple[int, int], ...]:
-    """Delta swaps (shift, swap mask), applied in order, of x -> u x mod 2^n for odd u.
-
-    Bit j of u x is bit j of x flipped iff bit j of u (x mod 2^j) is set, as
-    u is odd.  Level j, from n - 1 down to 1 while the bits below j still
-    hold x, swaps positions p and p + 2^j (bit j of p clear) on that flip.
-    """
-    network = []
-    for j in range(n - 1, 0, -1):
-        base = sum(1 << r for r in range(1 << j) if u * r >> j & 1)
-        if base:
-            network.append((1 << j, _periodic(base, 2 << j, n)))
-    return tuple(network)
 
 
 def _halve_even(mask: int, n: int) -> int:

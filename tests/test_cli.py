@@ -192,6 +192,16 @@ def test_degenerate_validation_budget_exits_two(tmp_path, capsys):
     assert report.result["objective"] == len(built)
 
 
+def test_deep_cube_search_exits_two(capsys):
+    # {1} x 1000 is a cube of {1, ..., 1023}, but its search recurses 1000 deep
+    members = ",".join(str(x) for x in range(1, 1024))
+    assert cli.main(["find-cube", "--n", "10", "--d", "1000", "--set", members]) == 2
+    out, err = capsys.readouterr()
+    assert err == "" and sum('"error":' in line for line in out.splitlines()) == 1
+    assert json.loads(out)["result"]["error"].startswith(
+        "the search for a 1000-cube ran out of depth")
+
+
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("CUBEFREE_BUDGET", "10")
     code, report = run_cli("max-search", "--n", "3", "--d", "3")

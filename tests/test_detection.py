@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from cubefree import detection, groups
 from cubefree.construction import layered_construction
+from cubefree.errors import CapacityError
 from cubefree.detection import (
     CubeWitness,
     _maxdim,
@@ -269,7 +270,7 @@ def _lemma_free_maxdims(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_gap_cap_bounds_every_small_set(n):
     table = _lemma_free_maxdims(n)
-    assert [D for D in range(2, 1 << (1 << n), 2) if _span_cap(D, n) < table[D]] == []
+    assert [D for D in range(2, 1 << (1 << n), 2) if _span_cap(D, n)[0] < table[D]] == []
 
 
 def _lemma_free_maxdim(mask, n, cap):
@@ -313,7 +314,7 @@ def sparse_layer_sets(draw):
 @example((1 << 1 | 1 << 3 | 1 << 8 | 1 << 24, 5))  # {1, 3, 8, 24}: a gap at m = 1, L_4 above it
 def test_gap_cap_bounds_sparse_layer_sets(case):
     mask, n = case
-    cap = _span_cap(mask, n)
+    cap = _span_cap(mask, n)[0]
     assert _lemma_free_maxdim(mask, n, cap + 1) <= cap
 
 
@@ -359,13 +360,12 @@ def test_memo_bound_keeps_answers(monkeypatch, rng):
 
 
 def reference_normalize(mask, n):
-    """Halve while all members are even, then divide by the smallest odd member."""
+    """Halve while all members are even."""
     members = {x for x in range(1 << n) if mask >> x & 1}
     while not any(x & 1 for x in members):
         members = {x >> 1 for x in members}
         n -= 1
-    u = pow(min(x for x in members if x & 1), -1, 1 << n)
-    return sum(1 << (u * x % (1 << n)) for x in members), n
+    return sum(1 << x for x in members), n
 
 
 @st.composite
@@ -385,8 +385,9 @@ def detection_masks(draw):
 @example(((1 << 1024) - 2, 10))
 @example((1 << 3 | 1 << 2047, 11))
 def test_normalize_matches_reference(case):
+    # the lowest valuation read off the raw mask is the number of halvings
     mask, n = case
-    assert _normalize(mask, n) == reference_normalize(mask, n)
+    assert _normalize(mask, n, _span_cap(mask, n)[1]) == reference_normalize(mask, n)
 
 
 @settings(max_examples=300, deadline=None)
@@ -394,12 +395,60 @@ def test_normalize_matches_reference(case):
 @example((1 << 4 | 1 << 12, 4))
 @example((1 << 1 | 1 << 2, 2))  # {1, 2}: layers L_1 and L_2
 def test_span_cap_is_read_off_the_raw_mask(case):
-    # the cap from the raw mask equals the cap after normalization, and both
-    # are min(|D|, the layer-gap cap of the valuations present)
+    # the cap from the raw mask equals the cap after halving, and both are
+    # min(|D|, the layer-gap cap of the valuations present); the halved set
+    # has odd members
     mask, n = case
     valuations = {(x & -x).bit_length() - 1 for x in range(1, 1 << n) if mask >> x & 1}
     expected = min(mask.bit_count(), reference_gap_cap(valuations))
-    assert _span_cap(mask, n) == expected == _span_cap(*_normalize(mask, n))
+    assert _span_cap(mask, n) == (expected, min(valuations))
+    assert _span_cap(*reference_normalize(mask, n)) == (expected, 0)
+
+
+def dilate(mask, lam, size):
+    """Bit mask of {lam * x mod size : x in mask}."""
+    return sum(1 << y for y in {lam * x % size for x in mask_members(mask)})
+
+
+@st.composite
+def odd_dilates(draw):
+    """(n, mask, lam, d): a set of Z_{2^n}, n <= 7, an odd lam and a cube dimension."""
+    n = draw(st.integers(1, 7))
+    members = draw(st.sets(st.integers(0, (1 << n) - 1), max_size=draw(st.sampled_from((6, 1 << n)))))
+    lam = 2 * draw(st.integers(0, (1 << (n - 1)) - 1)) + 1
+    return n, sum(1 << x for x in members), lam, draw(st.integers(1, n + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(odd_dilates())
+@example((5, 1 << 3 | 1 << 6 | 1 << 9, 11, 3))  # {3, 6, 9} is the 2-cube of (3, 6)
+@example((7, ((1 << 128) - 1) // 3 * 2, 3, 7))  # the odd residues of Z_128
+def test_detection_agrees_on_odd_dilates(case):
+    # an odd lam is an automorphism of Z_{2^n} (Sigma*(lam Y) = lam Sigma*Y),
+    # so A and lam A hold cubes of the same dimensions; their memo keys differ
+    n, mask, lam, d = case
+    ctx = GroupContext(n)
+    A, B = ResidueSet(ctx, mask), ResidueSet(ctx, dilate(mask, lam, 1 << n))
+    assert max_cube_dimension(A, n + 2) == max_cube_dimension(B, n + 2)
+    for S in (A, B):
+        witness = find_cube(S, d)
+        assert (witness is None) == is_cube_free(S, d)
+        if witness is not None:
+            assert len(witness.generators) == d and witness.cube.issubset(S)
+            assert witness.cube == projective_cube(witness.generators)
+
+
+def test_deep_cubes_end_in_capacity_error():
+    # {1} x d is a d-cube of {1, ..., 1023}, and both engines recurse once
+    # per generator; the memo keeps finished values only, so later answers
+    # are those of a cold memo
+    A = ResidueSet(GroupContext(10), (1 << 1024) - 2)
+    clear_detection_cache()
+    for query in (max_cube_dimension, find_cube):
+        with pytest.raises(CapacityError, match="search for a 1000-cube ran out of depth"):
+            query(A, 1000)
+    assert max_cube_dimension(A, 600) == 600
+    assert find_cube(A, 600).generators.elements == (1,) * 600
 
 
 def reference_gap_cap(valuations):
@@ -430,7 +479,7 @@ def test_gap_cap_examples():
     n = 8
     for valuations in ({0, 2, 3}, {0, 1, 2, 3, 5}, {1, 2, 4, 7}):
         mask = sum((1 << (u << v)) for v in valuations for u in range(1, 1 << (n - v), 2))
-        assert _span_cap(mask, n) == reference_gap_cap(valuations)
+        assert _span_cap(mask, n)[0] == reference_gap_cap(valuations)
 
 
 def test_small_members_of_a_wide_group_need_no_wide_table():
@@ -457,22 +506,27 @@ def test_detection_tree_is_pinned(rng):
     # sweeps 1 <= d <= n <= 7, which the layer-gap cap closes at their roots
     # (they store at-least entries only), then unions of the orbits of the
     # odd lam = 1 (mod 2^k), k >= 2, whose searches store exact entries;
-    # a cap return that moved ahead of or behind a memo write changes these
+    # a cap return that moved ahead of or behind a memo write changes these.
+    # Keys are halved sets, not odd scalings of them: the sweeps walk other
+    # generators to their cubes (202 -> 196 at-least entries), and the
+    # orbit unions, mapped into each other by many odd lam, share fewer keys
     clear_detection_cache()
     for n in range(1, 8):
         for d in range(1, n + 1):
             max_cube_free_layer_unions(GroupContext(n), d)
-    assert (len(detection._exact), len(detection._atleast)) == (0, 202)
+    assert (len(detection._exact), len(detection._atleast)) == (0, 196)
     for n in (5, 6):
         for k in range(2, n):
             orbits = _stabilizer_orbits(n, k)
             for _ in range(20):
                 _maxdim(sum(o for o in orbits if rng.random() < 0.5), n, n + 2)
-    assert (len(detection._exact), len(detection._atleast)) == (12386, 1613)
+    assert (len(detection._exact), len(detection._atleast)) == (18603, 2105)
 
 
 def test_one_shot_memo_is_pinned(rng):
-    # the memo after a fixed batch of one-shot queries from a cold memo
+    # the memo after a fixed batch of one-shot queries from a cold memo;
+    # keyed on halved sets only, odd dilates no longer share an entry
+    # (607, 88 when keys were scaled to the smallest odd member 1)
     clear_detection_cache()
     for n in (5, 6):
         ctx = GroupContext(n)
@@ -481,7 +535,7 @@ def test_one_shot_memo_is_pinned(rng):
             d = rng.randint(2, n + 1)
             find_cube(A, d)
             is_cube_free(A, d)
-    assert (len(detection._exact), len(detection._atleast)) == (607, 88)
+    assert (len(detection._exact), len(detection._atleast)) == (615, 83)
 
 
 def test_run_masks_are_built_as_read():

@@ -13,8 +13,8 @@ from cubefree.groups import (
     centred_set,
     layer_range_set,
     layer_set,
+    mask_members,
     residue_abs,
-    scale_mask,
     shift_mask,
     subset_sums,
 )
@@ -64,13 +64,18 @@ def test_layer_of_matches_layer_set():
         assert layer_set(n + 1, ctx).members() == [0]
 
 
+def dilate(mask, lam, size):
+    """Bit mask of {lam * x mod size : x in mask}."""
+    return sum(1 << y for y in {lam * x % size for x in mask_members(mask)})
+
+
 def test_odd_scaling_preserves_layers():
     for n in range(1, 11):
         ctx = GroupContext(n)
         for lam in range(1, ctx.modulus, 2):
             for i in range(1, n + 2):
                 layer = layer_set(i, ctx).mask
-                assert scale_mask(layer, lam, ctx.modulus) == layer
+                assert dilate(layer, lam, ctx.modulus) == layer
 
 
 def test_centred_examples(ctx3):
@@ -109,7 +114,7 @@ def test_residue_set_operations(ctx3):
     assert (a - b).members() == [1, 2]
     assert a.complement().members() == [0, 4, 5, 6, 7]
     assert ResidueSet(ctx3, shift_mask(a.mask, 6, ctx3)).members() == [0, 1, 7]
-    assert ResidueSet(ctx3, scale_mask(a.mask, 3, 8)).members() == [1, 3, 6]
+    assert ResidueSet(ctx3, dilate(a.mask, 3, 8)).members() == [1, 3, 6]
     assert ResidueSet.from_members(ctx3, [-1]).members() == [7]
     assert len(a) == 3 and 2 in a and 5 not in a
 
@@ -180,20 +185,6 @@ def group_masks(draw, min_n=1, max_n=12):
     return n, mask
 
 
-@settings(max_examples=400, deadline=None)
-@given(group_masks(), st.one_of(st.integers(-300, 300), st.integers(-(1 << 30), 1 << 30)))
-@example((3, 0b10110110), 2)
-@example((5, (1 << 32) - 1), 0)
-@example((7, 1 << 127), 3)
-@example((10, (1 << 1024) - 2), -1)
-@example((11, (1 << 2048) - 2), 3)
-def test_scale_mask_matches_comprehension(case, lam):
-    n, mask = case
-    size = 1 << n
-    expected = {lam * x % size for x in range(size) if mask >> x & 1}
-    assert scale_mask(mask, lam, size) == sum(1 << y for y in expected)
-
-
 @settings(max_examples=300, deadline=None)
 @given(group_masks(min_n=2))
 @example((2, 0b0100))
@@ -203,39 +194,6 @@ def test_halve_even_matches_walk(case):
     evens = ((1 << (1 << n)) - 1) // 3  # bits at the even positions
     mask &= evens
     assert groups._halve_even(mask, n) == walk_halve(mask)
-
-
-def test_swap_networks_stay_below_the_switch():
-    # one network per (size, odd u) with size <= 2^10, each of at most n - 1
-    # levels, whatever lam and size scale_mask is asked for
-    groups._networks.clear()
-    groups._walked.clear()
-    for n, lam in ((10, -1), (10, 1025), (11, 3), (12, 5), (21, 7)):
-        size = 1 << n
-        members = (1, 2, 4, size - 5, size - 3)
-        assert scale_mask(sum(1 << x for x in members), lam, size) == \
-            sum(1 << (lam * x % size) for x in members)
-    assert not groups._networks  # five members pay for no network
-    for n in range(1, 13):
-        size = 1 << n
-        for u in range(1, size, 2):
-            scale_mask((1 << size) - 2, u, size)
-    assert len(groups._networks) == 1023 and not groups._walked
-    for (size, u), network in groups._networks.items():
-        assert size <= 1 << 10 and len(network) <= size.bit_length() - 2
-
-
-def test_sparse_masks_pay_for_a_network_in_instalments():
-    # a network of Z_256 costs 64 walked members: the 32nd two-member call builds it
-    groups._networks.clear()
-    groups._walked.clear()
-    key = (256, 77)
-    for call in range(1, 33):
-        x, y = 3 * call + 1, 5 * call
-        assert scale_mask(1 << x | 1 << y, 77 - 256, 256) == 1 << (77 * x % 256) | 1 << (77 * y % 256)
-        assert (key in groups._networks) == (call == 32)
-    assert key not in groups._walked
-    assert scale_mask(1 << 3 | 1 << 200, 77, 256) == 1 << (3 * 77 % 256) | 1 << (200 * 77 % 256)
 
 
 def test_layer_tables_keep_one_wide_group():
