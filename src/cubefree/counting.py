@@ -105,9 +105,6 @@ class LayerProfile:
         if len(self.sizes) != self.n + 1:
             raise ValueError("profile must carry one entry per layer")
 
-    def size_of(self, a: int) -> int:
-        return self.sizes[a - 1]
-
 
 def layer_profile(A: ResidueSet) -> LayerProfile:
     n = A.ctx.n

@@ -12,7 +12,7 @@ dimension satisfies
     maxdim(D) = max over g in D of  1 + maxdim(D & (D - g)).
 
 maxdim is intrinsic to D, which allows a single global memo table (cleared
-whole once it holds _MEMO_LIMIT entries) plus one exact reduction: a set
+whole before it holds more than _MEMO_BYTES) plus one exact reduction: a set
 of even residues halves into Z_{2^(n-1)}, so each set is halved down to
 its lowest layer before lookup.
 
@@ -57,12 +57,12 @@ finished values only, so answers after such a failure are unchanged.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import CapacityError
-from .groups import (_TABLE_MAX_N, GeneratorMultiset, ResidueSet, _halve_even, _layer_masks,
-                     _layers_holding)
+from .groups import GeneratorMultiset, ResidueSet, _halve_even, _layer_tables
 from .sumsets import projective_cube
 
 
@@ -102,12 +102,10 @@ def _word_cap(word: int) -> int:
 def _span_cap(mask: int, n: int) -> tuple[int, int]:
     """(min(|D|, the layer-gap cap of the valuations present in D), the lowest valuation present).
 
-    The first entry is the size and gap caps, the second the number of
-    halvings to D's lowest layer.  Requires a nonzero mask without bit 0.
-    Halving keeps |D| and the valuations present up to a shift, so the cap
-    is read off the raw mask.
+    The second entry is the number of halvings to D's lowest layer.
+    Requires a nonzero mask without bit 0.
     """
-    layers = _layer_masks(n) if n <= _TABLE_MAX_N else _layers_holding(mask, n)
+    layers = _layer_tables.get(n) or _layer_tables.holding(mask, n)
     word = 0
     for v in range(len(layers) - 2, -1, -1):
         word = word << 1 | (mask & layers[v] != 0)
@@ -122,19 +120,27 @@ def _normalize(mask: int, n: int, halvings: int) -> tuple[int, int]:
     return mask, n
 
 
-_MEMO_LIMIT = 1 << 20  # combined entries of _exact and _atleast before both are cleared
+_MEMO_BYTES = 1 << 28  # bytes held by _exact and _atleast, as _remember charges them, before both are cleared
+_ENTRY_BYTES = sys.getsizeof((0, 0)) + sys.getsizeof(0) + 64  # key tuple, mask header, dict slot (<= 60)
 _exact: dict[tuple[int, int], int] = {}
 _atleast: dict[tuple[int, int], int] = {}
+_memo_bytes = 0
 
 
 def clear_detection_cache() -> None:
+    global _memo_bytes
     _exact.clear()
     _atleast.clear()
+    _memo_bytes = 0
 
 
 def _remember(table: dict[tuple[int, int], int], key: tuple[int, int], value: int) -> None:
-    if len(_exact) + len(_atleast) >= _MEMO_LIMIT:
-        clear_detection_cache()
+    global _memo_bytes
+    if key not in table:
+        charge = _ENTRY_BYTES + key[1].bit_length() // 7  # CPython keeps 30 bits in 4 bytes
+        if _memo_bytes + charge > _MEMO_BYTES:
+            clear_detection_cache()
+        _memo_bytes += charge
     table[key] = value
 
 

@@ -10,8 +10,8 @@ A + c, the fold step of ``cube_mask``) and ``subset_sums`` (the fold behind
 collection sumsets and half-sum tests).
 Detection, and counting on sparse sets, read each translate A - x off the
 doubled mask A | A << 2^n with one right shift instead.  Detection's
-canonical form halves all-even sets with ``_halve_even``: a log-step bit
-compress up to 2^10 bits, the member walk above.
+canonical form halves all-even sets with ``_halve_even``, a log-step bit
+compress at every n.
 
 The i'th layer L_i (1 <= i <= n) consists of the residues congruent to
 2^(i-1) modulo 2^i, i.e. the residues of 2-adic valuation i-1; the extra
@@ -21,7 +21,7 @@ layer L_{n+1} is {0}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .errors import RangeError
@@ -71,28 +71,11 @@ def subset_sums(elements: Iterable[int], size: int) -> int:
     return reach
 
 
-_TABLE_MAX_N = 10  # kernel tables are kept for masks of at most 2^10 bits only
-
-
 def _halve_even(mask: int, n: int) -> int:
     """Bit mask of {x / 2 : x in mask} in Z_{2^(n-1)}, for a mask of even residues of Z_{2^n}."""
-    if n > _TABLE_MAX_N:
-        halved = 0
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            halved |= 1 << ((low.bit_length() - 1) >> 1)
-        return halved
-    for shift, keep in _halving_masks(n):
+    for shift, keep in _halving_tables.get(n) or _halving_tables.holding(mask, n):
         mask = (mask | mask >> shift) & keep
     return mask
-
-
-@lru_cache(maxsize=None)  # n <= 10: at most 10 tables of at most 9 masks
-def _halving_masks(n: int) -> tuple[tuple[int, int], ...]:
-    # before step s every 2s-bit block keeps its s data bits in its low half;
-    # the step packs the 2s data bits of every 4s-bit block into its low half
-    return tuple((s, _periodic((1 << (2 * s)) - 1, 4 * s, n)) for s in (1 << i for i in range(n - 1)))
 
 
 def _periodic(block: int, period: int, n: int) -> int:
@@ -207,6 +190,9 @@ class GeneratorMultiset:
         return len(self.elements)
 
 
+_TABLE_MAX_N = 10  # every kernel table of at most 2^10 bits is kept, and the last wider one built
+
+
 class _KernelTables(dict):
     """n -> ``build(n)``, a kernel table of Z_{2^n} built at first use; every n <= _TABLE_MAX_N is kept, one wider n."""
 
@@ -220,21 +206,31 @@ class _KernelTables(dict):
         table = self[n] = self.build(n)
         return table
 
+    def holding(self, mask: int, n: int):
+        """A table agreeing with n's on a mask: n's own up to _TABLE_MAX_N, above it the kept wide one
+        if that holds the mask's members, else that of the least group holding them.
+
+        Call as ``tables.get(n) or tables.holding(mask, n)``: one dict lookup when n's table is kept.
+        """
+        least = n if n <= _TABLE_MAX_N else min(n, (mask.bit_length() - 1).bit_length())
+        kept = max(self, default=0)
+        return self[kept] if kept >= least > _TABLE_MAX_N else self[least]
+
 
 def _build_layer_masks(n: int) -> tuple[int, ...]:
     """Masks of the layers of Z_{2^n}, entry v: L_(v+1); bit 2^v repeated every 2^(v+1) bits."""
     return tuple(_periodic(1 << (1 << v), 2 << v, n) for v in range(n)) + (1,)
 
 
+def _build_halving_masks(n: int) -> tuple[tuple[int, int], ...]:
+    # step s packs the s data bits in the low half of each 2s-bit block into the low half of each
+    # 4s-bit block; past s = 2^(n-2) it changes no mask of Z_{2^n}, so wider tables serve it too
+    return tuple((s, _periodic((1 << (2 * s)) - 1, 4 * s, n)) for s in (1 << i for i in range(n - 1)))
+
+
 _layer_tables = _KernelTables(_build_layer_masks)
 _layer_masks = _layer_tables.__getitem__  # a dict lookup costs half an lru_cache call
-
-
-def _layers_holding(mask: int, n: int) -> tuple[int, ...]:
-    """Layer masks agreeing with those of Z_{2^n} on a mask without 0: any Z_{2^m} holding its members."""
-    least = min(n, (mask.bit_length() - 1).bit_length())
-    kept = max(_layer_tables, default=0)
-    return _layer_tables[kept] if kept >= least else _layer_masks(least)
+_halving_tables = _KernelTables(_build_halving_masks)
 
 
 def layer_set(i: int, ctx: GroupContext) -> ResidueSet:

@@ -9,7 +9,7 @@ import pytest
 
 from cubefree import cli
 from cubefree.construction import layered_construction
-from cubefree.groups import GroupContext
+from cubefree.groups import GroupContext, layer_range_set
 
 
 def run_cli(*argv):
@@ -36,6 +36,16 @@ def test_find_cube_command(tmp_path):
     path.write_text("[1, 3, 5, 7]")
     code, report = run_cli("find-cube", "--set", str(path), "--n", "3", "--d", "2")
     assert code == 0 and report.result["found"] is False
+
+
+def test_find_cube_in_the_widest_group(tmp_path):
+    # L2 | L3 of Z_{2^21}, 786,432 members: halved one member at a time it took minutes
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(layer_range_set(2, 3, GroupContext(21)).members()))
+    start = time.process_time()
+    code, report = run_cli("find-cube", "--n", "21", "--d", "3", "--set", str(path))
+    assert code == 0 and report.result["generators"] == [2, 2, 2]
+    assert time.process_time() - start < 10
 
 
 def test_count_st_command():

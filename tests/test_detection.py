@@ -1,3 +1,4 @@
+import sys
 from itertools import combinations_with_replacement
 
 import pytest
@@ -345,18 +346,24 @@ def test_memo_bound_keeps_answers(monkeypatch, rng):
         return sweeps, found
 
     expected = answers()
-    limit, peak = 64, [0]
+    limit, charged = 4096, []
 
     class Tracked(dict):
         def __setitem__(self, key, value):
             super().__setitem__(key, value)
-            peak[0] = max(peak[0], len(detection._exact) + len(detection._atleast))
+            held = [mask for table in (detection._exact, detection._atleast) for _, mask in table]
+            charges = [detection._ENTRY_BYTES + m.bit_length() // 7 for m in held]
+            assert all(c >= sys.getsizeof(m) + sys.getsizeof((0, 0)) for c, m in zip(charges, held))
+            assert detection._memo_bytes == sum(charges)
+            charged.append(detection._memo_bytes)
 
-    monkeypatch.setattr(detection, "_MEMO_LIMIT", limit)
+    monkeypatch.setattr(detection, "_MEMO_BYTES", limit)
     monkeypatch.setattr(detection, "_exact", Tracked())
     monkeypatch.setattr(detection, "_atleast", Tracked())
     assert answers() == expected
-    assert peak[0] == limit  # the memo filled up, and was cleared before it grew past
+    # the memo filled up, and was cleared before it grew past the bound
+    largest = detection._ENTRY_BYTES + 64 // 7
+    assert limit - largest < max(charged) <= limit
 
 
 def reference_normalize(mask, n):

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -174,12 +175,12 @@ def walk_halve(mask):
 
 
 @st.composite
-def group_masks(draw, min_n=1, max_n=12):
-    """(n, mask): sparse and dense subsets of Z_{2^n}, both sides of the 2^10-bit switch."""
+def group_masks(draw, min_n=1, max_n=MAX_N):
+    """(n, mask): sparse subsets of Z_{2^n} for every n, dense ones for n <= 16."""
     n = draw(st.integers(min_n, max_n))
     size = 1 << n
-    if draw(st.booleans()):
-        mask = draw(st.integers(0, (1 << size) - 1))
+    if n <= 16 and draw(st.booleans()):
+        mask = random.Random(draw(st.integers(0, 1 << 64))).getrandbits(size)
     else:
         mask = sum(1 << x for x in draw(st.sets(st.integers(0, size - 1), max_size=12)))
     return n, mask
@@ -189,11 +190,24 @@ def group_masks(draw, min_n=1, max_n=12):
 @given(group_masks(min_n=2))
 @example((2, 0b0100))
 @example((12, (1 << 4096) - 1))
+@example((MAX_N, 1 << ((1 << MAX_N) - 2)))
 def test_halve_even_matches_walk(case):
     n, mask = case
     evens = ((1 << (1 << n)) - 1) // 3  # bits at the even positions
     mask &= evens
     assert groups._halve_even(mask, n) == walk_halve(mask)
+
+
+def test_kept_wide_halving_table_serves_narrower_groups():
+    # the steps of Z_{2^14} past 2^11 leave a halved mask of Z_{2^12} as it is
+    groups._halving_tables.clear()
+    table = groups._halving_tables[14]
+    for n in (13, 12, 11):
+        mask = layer_range_set(2, 3, GroupContext(n)).mask
+        assert groups._halve_even(mask, n) == walk_halve(mask)
+    assert groups._halving_tables[14] is table and set(groups._halving_tables) == {14}
+    mask = layer_set(2, GroupContext(4)).mask
+    assert groups._halve_even(mask, 4) == walk_halve(mask) and 4 in groups._halving_tables
 
 
 def test_layer_tables_keep_one_wide_group():
