@@ -362,7 +362,7 @@ def test_memo_bound_keeps_answers(monkeypatch, rng):
     monkeypatch.setattr(detection, "_atleast", Tracked())
     assert answers() == expected
     # the memo filled up, and was cleared before it grew past the bound
-    largest = detection._ENTRY_BYTES + 64 // 7
+    largest = detection._ENTRY_BYTES + 64 // 7  # the charge of a mask of Z_{2^6}
     assert limit - largest < max(charged) <= limit
 
 

@@ -199,7 +199,7 @@ def test_halve_even_matches_walk(case):
 
 
 def test_kept_wide_halving_table_serves_narrower_groups():
-    # the steps of Z_{2^14} past 2^11 leave a halved mask of Z_{2^12} as it is
+    # past s = 2^(n-2) the steps of Z_{2^14} leave a halved mask of Z_{2^n} as it is
     groups._halving_tables.clear()
     table = groups._halving_tables[14]
     for n in (13, 12, 11):
