@@ -229,7 +229,7 @@ def _build_halving_masks(n: int) -> tuple[tuple[int, int], ...]:
 
 
 _layer_tables = _KernelTables(_build_layer_masks)
-_layer_masks = _layer_tables.__getitem__  # a dict lookup costs half an lru_cache call
+_layer_masks = _layer_tables.__getitem__  # bound once, so each call is one dict lookup
 _halving_tables = _KernelTables(_build_halving_masks)
 
 
