@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, combinations_with_replacement
 
 from . import construction, counting, detection, oracle, search
-from .groups import GroupContext, ResidueSet, centred_set, layer_range_set, subset_sums
-from .sumsets import cube_mask
+from .groups import GroupContext, ResidueSet, centred_set, layer_range_set, shift_mask, subset_sums
 
 DEFAULT_SEED = 20260810
 
@@ -57,12 +56,22 @@ def _result(name: str, start: float, failures: list[str], details: str) -> Check
 
 
 def _naive_contains_cube(A: ResidueSet, d: int) -> bool:
-    """Test oracle: plain enumeration of generator multisets drawn from A."""
-    amask = A.mask
+    """Test oracle: generator multisets drawn from A, walked without ``detection``.
+
+    A prefix's cube lies in every extension's cube, so one leaving A is not extended.
+    """
+    outside = ~A.mask
     ctx = A.ctx
-    for gens in combinations_with_replacement(A.members(), d):
-        if cube_mask(gens, ctx) & ~amask == 0:
+    members = A.members()
+    stack = [(0, 0, 0)]  # (generators so far, index of the last one, their cube)
+    while stack:
+        depth, start, cm = stack.pop()
+        if depth == d:
             return True
+        for i, a in enumerate(members[start:], start):
+            grown = cm | shift_mask(cm, a, ctx) | 1 << a
+            if not grown & outside:
+                stack.append((depth + 1, i, grown))
     return False
 
 

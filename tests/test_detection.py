@@ -29,9 +29,8 @@ from cubefree.groups import (
     layer_range_set,
     layer_set,
     mask_members,
-    shift_mask,
 )
-from cubefree.oracle import ResidueCollection, disjoint_zero_sets
+from cubefree.oracle import ResidueCollection, _half_sum_free_multisets, disjoint_zero_sets
 from cubefree.search import max_cube_free_layer_unions
 from cubefree.sumsets import cube_mask, projective_cube
 from cubefree.verify import _naive_contains_cube
@@ -216,31 +215,13 @@ def test_zero_sum_cap_premise(case):
 PREMISE_COUNTS = {1: 1, 2: 30, 3: 1756}  # k -> half-sum-free multisets of >= 2^k residues mod 2^(k+1)
 
 
-def _half_sum_free_multisets(k):
-    """Non-decreasing multisets of nonzero residues mod 2^(k+1) with no subset sum 2^k.
-
-    A multiset whose subset sums reach 2^k keeps them under every extension,
-    so the walk prunes there, and what it yields is finite.
-    """
-    ctx = GroupContext(k + 1)
-    half = 1 << (1 << k)
-    stack = [((), 1)]  # (elements, mask of their subset sums)
-    while stack:
-        elements, sums = stack.pop()
-        yield elements
-        for r in range(elements[-1] if elements else 1, ctx.modulus):
-            grown = sums | shift_mask(sums, r, ctx)
-            if not grown & half:
-                stack.append((elements + (r,), grown))
-
-
 @pytest.mark.parametrize("k", sorted(PREMISE_COUNTS))
 def test_gap_cap_premise(k):
     # the zero-sum dichotomy at k for every x, the premise of the layer-gap
     # cap at a gap m = k: 2^k + x nonzero residues mod 2^(k+1) either have a
     # subset sum 2^k or hold x + 1 disjoint zero-sum parts
     checked = 0
-    for elements in _half_sum_free_multisets(k):
+    for elements in _half_sum_free_multisets(k):  # every size; the walk is finite
         x = len(elements) - (1 << k)
         if x >= 0:
             checked += 1

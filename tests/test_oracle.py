@@ -1,8 +1,12 @@
+from itertools import combinations_with_replacement
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubefree import cli
 from cubefree.errors import CapacityError, InapplicableCompressionError
+from cubefree.groups import subset_sums
 from cubefree.oracle import (
     ResidueCollection,
     compress,
@@ -91,6 +95,32 @@ def test_verify_dichotomy_small():
     assert report.space_size == 210 and report.ok
     with pytest.raises(CapacityError):
         verify_zero_sum_dichotomy(3, 1, budget=1000)
+
+
+def plain_dichotomy_fields(k, x):
+    """Every report field by plain exhaustion: each multiset, its subset sums, then the oracle."""
+    size = 1 << (k + 1)
+    combos = list(combinations_with_replacement(range(1, size), (1 << k) + x))
+    free = [c for c in combos if not subset_sums(c, size) >> (1 << k) & 1]
+    parted = [disjoint_zero_sets(ResidueCollection(k, c), x + 1) is not None for c in free]
+    return (k, x, len(combos), len(combos), len(combos) - len(free), sum(parted),
+            tuple(c for c, ok in zip(free, parted) if not ok))
+
+
+@pytest.mark.parametrize("k,x", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2), (3, 0)])
+def test_pruned_dichotomy_matches_plain_exhaustion(k, x):
+    # the smoke cases, (2, 2) and (3, 0): the prefix walk counts the half sums
+    # it never visits, and must agree with visiting each multiset
+    r = verify_zero_sum_dichotomy(k, x)
+    assert (r.k, r.x, r.space_size, r.checked, r.half_sum_count, r.disjoint_zero_count,
+            r.counterexamples) == plain_dichotomy_fields(k, x)
+
+
+def test_verify_lemma_figures_at_k3_x1():
+    code, report = cli.run(["verify-lemma", "--k", "3", "--x", "1"])
+    assert code == 0
+    assert report.result == {"space_size": 817190, "checked": 817190, "half_sum": 816694,
+                             "disjoint_zero": 496, "counterexamples": []}
 
 
 def test_compress_type1():

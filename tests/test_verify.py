@@ -1,7 +1,12 @@
-import pytest
+from itertools import combinations_with_replacement
 
-from cubefree import verify
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cubefree import detection, oracle, verify
 from cubefree.groups import GroupContext, ResidueSet, layer_set
+from cubefree.sumsets import cube_mask
 
 
 def test_smoke_level_all_green():
@@ -54,3 +59,46 @@ def test_naive_oracles_agree_on_spot_checks():
     A = ResidueSet.from_members(ctx, [2, 3, 4, 5, 7])
     assert verify._naive_contains_cube(A, 3)
     assert not verify._naive_contains_cube(layer_set(1, ctx), 2)
+
+
+def _plain_contains_cube(A, d):
+    return any(cube_mask(g, A.ctx) & ~A.mask == 0
+               for g in combinations_with_replacement(A.members(), d))
+
+
+def test_pruned_naive_oracle_matches_plain_enumeration_in_z8():
+    ctx = GroupContext(3)
+    for mask in range(1 << 8):
+        A = ResidueSet(ctx, mask)
+        for d in range(5):
+            assert verify._naive_contains_cube(A, d) == _plain_contains_cube(A, d), (mask, d)
+
+
+def _masks(n):
+    """Dense masks drawn whole, and sparse ones from a few members."""
+    size = 1 << n
+    return st.one_of(st.integers(0, (1 << size) - 1),
+                     st.sets(st.integers(0, size - 1)).map(lambda xs: sum(1 << x for x in xs)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([4, 5]).flatmap(lambda n: st.tuples(st.just(n), _masks(n))),
+       st.integers(1, 4))
+def test_pruned_naive_oracle_matches_plain_enumeration(case, d):
+    n, mask = case
+    A = ResidueSet(GroupContext(n), mask)
+    assert verify._naive_contains_cube(A, d) == _plain_contains_cube(A, d)
+
+
+def test_broken_disjoint_parts_oracle_fails_the_dichotomy(monkeypatch):
+    # half-sum collections are counted, not visited, so the walked ones must
+    # still reach the disjoint-parts oracle
+    monkeypatch.setattr(oracle, "disjoint_zero_sets", lambda C, m: None)
+    result = verify.run_checks(level="smoke", names=["zero_sum_dichotomy"])[0]
+    assert not result.ok and result.failures
+
+
+def test_broken_detector_fails_the_enumeration_check(monkeypatch):
+    monkeypatch.setattr(detection, "find_cube", lambda A, d: None)
+    result = verify.run_checks(level="smoke", names=["detector_vs_enumeration"])[0]
+    assert not result.ok and result.failures
