@@ -3,8 +3,13 @@
 The maximum cube-free search works on the complete, deduplicated family of
 cube masks for the requested dimension: a subset is feasible iff it fully
 contains none of them.  Dominated masks (supersets of another cube) are
-dropped since the smaller cube's constraint implies theirs; masks are
-taken by increasing size and looked up in a set-trie of the kept ones.  The
+dropped since the smaller cube's constraint implies theirs.  An odd unit lam
+maps cubes onto cubes, lam B(a_1, ..., a_d) = B(lam a_1, ..., lam a_d), so
+only one multiset per orbit is folded: the all-zero one, and those holding
+2^v with every generator a multiple of 2^v.  These masks are taken by
+increasing size and looked up in a set-trie of the kept ones; a survivor
+brings its whole orbit in, and the kept family is returned in (bit count,
+value) order, as filtering every multiset's mask would leave it.  The
 exact search branches on the elements of a smallest open constraint (every
 feasible improvement must exclude one of them), with a greedy
 disjoint-constraint packing as the lower bound on further exclusions and
@@ -35,14 +40,14 @@ cube-freeness predicate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
+from typing import Iterator, Sequence
 
 from .construction import construction_layers, layered_construction
 from .counting import count_schur_triples
 from .detection import find_degenerate_3cube, is_cube_free, max_cube_dimension
 from .errors import CapacityError, comb_within_budget
-from .groups import GroupContext, ResidueSet, _layer_masks, mask_members
+from .groups import GroupContext, ResidueSet, _layer_masks, mask_members, shift_mask
 from .sumsets import cube_mask
 
 DEFAULT_ENUM_BUDGET = 5_000_000
@@ -68,41 +73,53 @@ def _holds_subset(node: dict, m: int) -> bool:
     return False
 
 
-def _minimal_unique(masks: list[int]) -> list[int]:
+def _minimal_unique(masks: list[int], n: int | None = None) -> list[int]:
     """Drop duplicate masks and masks that contain another; masks are nonzero.
 
     Kept masks, in (bit count, value) order, are set-trie paths of their bits,
     lowest first, to a True leaf; as an antichain, no path prefixes another.
+    Given n, masks must meet every odd-scaling orbit of the family they stand
+    for in Z_{2^n}, and each one kept brings its whole orbit in.
     """
-    kept: list[int] = []
+    kept: set[int] = set()
     root: dict = {}
     for m in sorted(set(masks), key=lambda c: (c.bit_count(), c)):
-        if _holds_subset(root, m):
+        if m in kept or _holds_subset(root, m):
             continue
-        kept.append(m)
-        node, rest = root, m
-        while rest & (rest - 1):
-            low = rest & -rest
-            node = node.setdefault(low, {})
-            rest ^= low
-        node[rest] = True
-    return kept
+        orbit = (m,) if n is None else {m, *_odd_scalings(list(mask_members(m)), n)}
+        for image in orbit:
+            kept.add(image)
+            node, rest = root, image
+            while rest & (rest - 1):
+                low = rest & -rest
+                node = node.setdefault(low, {})
+                rest ^= low
+            node[rest] = True
+    return sorted(kept, key=lambda c: (c.bit_count(), c))
 
 
 def cube_constraint_masks(ctx: GroupContext, d: int, budget: int | None = None) -> list[int]:
-    """All distinct minimal d-cube masks in Z_{2^n}.
+    """All distinct minimal d-cube masks in Z_{2^n}, in (bit count, value) order.
 
-    Raises CapacityError when the generator-multiset space exceeds the budget.
+    Raises CapacityError when all generator multisets, not only the orbit
+    representatives folded, are more than the budget.
     """
     if d < 1:
         raise ValueError(f"cube dimension must be positive, got {d}")
     budget = DEFAULT_ENUM_BUDGET if budget is None else budget
     size = ctx.modulus
     comb_within_budget(size + d - 1, d, budget, "generator multisets")
-    seen: set[int] = set()
-    for combo in combinations_with_replacement(range(size), d):
-        seen.add(cube_mask(combo, ctx))
-    return _minimal_unique(list(seen))
+    seen = {1}  # {0}, the cube of the all-zero multiset
+    # depth first from each {2^v} over sorted multiples of 2^v, one fold per generator
+    stack = [(0, 1 << (1 << v), 1 << v, d - 1) for v in range(ctx.n)]
+    while stack:
+        low, mask, step, left = stack.pop()
+        if not left:
+            seen.add(mask)
+            continue
+        for a in range(low, size, step):
+            stack.append((a, mask | shift_mask(mask, a, ctx) | 1 << a, step, left - 1))
+    return _minimal_unique(list(seen), ctx.n)
 
 
 def _check_degenerate_space(size: int, budget: int | None) -> None:
@@ -233,8 +250,8 @@ def max_cube_free_exact(
 ) -> SearchCertificate:
     """Maximum cardinality of a d-cube-free subset of Z_{2^n}, with a maximizer.
 
-    ``budget`` caps both the generator multisets enumerated and the
-    branch-and-bound nodes; None keeps DEFAULT_ENUM_BUDGET and
+    ``budget`` caps both the generator multisets, every one counted, and
+    the branch-and-bound nodes; None keeps DEFAULT_ENUM_BUDGET and
     DEFAULT_NODE_BUDGET.  ``symmetry=True`` fixes 1 as a member (the odd-unit
     action maps any set with an odd element onto one containing 1, and sets
     without odd elements never beat the layered incumbent); it only engages
@@ -308,20 +325,19 @@ def max_cube_free_layer_unions(ctx: GroupContext, d: int,
     raise AssertionError("the empty union is always cube-free")  # pragma: no cover
 
 
-@lru_cache(maxsize=None)
-def _odd_scaling_maps(n: int) -> tuple[tuple[int, ...], ...]:
+def _odd_scalings(members: Sequence[int], n: int) -> Iterator[int]:
+    """Yield the masks of lam * members mod 2^n for lam = 3, 5, ..., 2^n - 1."""
     size = 1 << n
-    return tuple(
-        tuple(lam * x % size for x in range(size)) for lam in range(1, size, 2)
-    )
-
-
-def _is_scaling_canonical(mask: int, maps: tuple[tuple[int, ...], ...]) -> bool:
-    members = list(mask_members(mask))
-    for perm in maps:
+    for lam in range(3, size, 2):
         scaled = 0
         for x in members:
-            scaled |= 1 << perm[x]
+            scaled |= 1 << (lam * x % size)
+        yield scaled
+
+
+def _is_scaling_canonical(mask: int, members: Sequence[int], n: int) -> bool:
+    """True iff no odd scaling of ``members``, whose mask is ``mask``, is a smaller mask."""
+    for scaled in _odd_scalings(members, n):
         if scaled < mask:
             return False
     return True
@@ -343,7 +359,6 @@ def min_schur_exhaustive(
         raise ValueError(f"cardinality {m} outside [0, {size}]")
     budget = DEFAULT_COMBO_BUDGET if combo_budget is None else combo_budget
     comb_within_budget(size, m, budget, f"subsets of size {m}")
-    maps = _odd_scaling_maps(ctx.n) if symmetry else None
     best = None
     best_mask = 0
     explored = 0
@@ -351,7 +366,7 @@ def min_schur_exhaustive(
         mask = 0
         for x in combo:
             mask |= 1 << x
-        if maps is not None and not _is_scaling_canonical(mask, maps):
+        if symmetry and not _is_scaling_canonical(mask, combo, ctx.n):
             continue
         explored += 1
         st = count_schur_triples(ResidueSet(ctx, mask))

@@ -9,7 +9,9 @@ import pytest
 
 from cubefree import cli
 from cubefree.construction import layered_construction
+from cubefree.errors import CapacityError
 from cubefree.groups import GroupContext, layer_range_set
+from cubefree.search import max_cube_free_exact
 
 
 def run_cli(*argv):
@@ -263,6 +265,24 @@ def test_enumeration_space_exact_up_to_64_bits():
     assert code == 0  # C(8, 4) = 70 sets are within the budget
     code, report = run_cli("min-schur", "--n", "3", "--m", "4", "--budget", "69")
     assert code == 2 and report.result["space_size"] == 70
+
+
+@pytest.mark.parametrize("n, d, space", [(4, 3, 816), (5, 3, 5984), (4, 2, 136), (3, 4, 330)])
+def test_max_search_budget_counts_every_generator_multiset(n, d, space):
+    # only orbit representatives are folded, yet the budget still counts all
+    # C(2^n + d - 1, d) generator multisets, at max-search's default and with --symmetry
+    ctx = GroupContext(n)
+    message = f"{space} generator multisets exceed the budget of {space - 1}"
+    with pytest.raises(CapacityError, match=f"^{message}$") as err:
+        max_cube_free_exact(ctx, d, budget=space - 1)
+    assert err.value.space_size == space
+    for flags in ((), ("--symmetry",)):
+        argv = ("max-search", "--n", str(n), "--d", str(d), *flags)
+        code, report = run_cli(*argv, "--budget", str(space - 1))
+        assert code == 2 and report.result == {"error": message, "space_size": space}
+        code, report = run_cli(*argv, "--budget", str(space))
+        assert code == 0
+        assert report.result["optimum"] == max_cube_free_exact(ctx, d, budget=space).optimum
 
 
 def test_verify_lemma_command():

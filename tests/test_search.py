@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +10,7 @@ from cubefree.detection import is_cube_free
 from cubefree.errors import CapacityError
 from cubefree.groups import MAX_N, GroupContext, ResidueSet, _layer_masks, centred_set
 from cubefree.counting import count_schur_triples
+from cubefree.sumsets import cube_mask
 from cubefree.search import (
     _bnb_max,
     _minimal_unique,
@@ -303,12 +304,22 @@ def test_min_schur_values():
         min_schur_exhaustive(GroupContext(5), 17)
 
 
+def odd_scaling(mask, lam, size):
+    return sum(1 << (lam * x % size) for x in range(size) if mask >> x & 1)
+
+
 def test_min_schur_symmetry_agrees():
     ctx = GroupContext(4)
     plain = min_schur_exhaustive(ctx, 6)
     reduced = min_schur_exhaustive(ctx, 6, symmetry=True)
     assert plain.optimum == reduced.optimum
     assert reduced.explored < plain.explored
+    # no early stop above zero triples: explored is every orbit's least mask
+    reduced = min_schur_exhaustive(ctx, 9, symmetry=True)
+    least = {min(odd_scaling(sum(1 << x for x in combo), lam, 16) for lam in range(1, 16, 2))
+             for combo in combinations(range(16), 9)}
+    assert (reduced.optimum, reduced.explored) == (24, len(least)) == (24, 1533)
+    assert min_schur_exhaustive(GroupContext(3), 5, symmetry=True).explored == 20
 
 
 def parse_lp_constraints(text):
@@ -483,6 +494,33 @@ def test_minimal_unique_matches_all_pairs_scan(masks):
     # neighbour unions contain both neighbours, and every other mask repeats
     family = masks + [a | b for a, b in zip(masks, masks[1:])] + masks[::2]
     assert _minimal_unique(family) == all_pairs_minimal(family)
+
+
+def plain_constraint_masks(ctx, d):
+    """The cube mask of every generator multiset, unfiltered: the reference for the orbit walk."""
+    return [cube_mask(combo, ctx)
+            for combo in combinations_with_replacement(range(ctx.modulus), d)]
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in range(1, 5) for d in range(1, 6)]
+                         + [(5, d) for d in range(1, 5)])
+def test_orbit_enumeration_matches_full_enumeration(n, d):
+    ctx = GroupContext(n)
+    size = ctx.modulus
+    masks = cube_constraint_masks(ctx, d)
+    everything = plain_constraint_masks(ctx, d)
+    assert masks == _minimal_unique(everything)
+    if n <= 3:
+        assert masks == all_pairs_minimal(everything)
+    kept = set(masks)
+    assert all(odd_scaling(m, lam, size) in kept for m in masks for lam in range(3, size, 2))
+
+
+def test_frontier_constraint_counts_are_pinned():
+    for n, d, kept in ((6, 3, 26804), (5, 4, 3299), (5, 5, 2303)):
+        masks = cube_constraint_masks(GroupContext(n), d)
+        assert len(masks) == kept
+        assert masks == sorted(set(masks), key=lambda c: (c.bit_count(), c))
 
 
 def test_layer_union_budget_counts_unions_tested():
