@@ -131,7 +131,7 @@ class LayerTripleCounts:
 
 
 def count_triples_by_layer(A: ResidueSet) -> dict[int, LayerTripleCounts]:
-    """Triple counts per layer a in [1, n]; totals ST(A) when 0 is not in A."""
+    """Triple counts per layer a in [1, n]; they total ST(A) less the triple (0, 0, 0)."""
     n = A.ctx.n
     amask = A.mask
     result = {}

@@ -47,10 +47,13 @@ up, so the caps decide most calls for the price of a few mask ANDs.
   (tests/test_sumsets.py::test_stalled_step_contains_generated_subgroup and
   tests/test_detection.py::test_zero_sum_cap_premise check those premises.)
 
-The witness engine explores non-decreasing generator tuples in
-lexicographic order and returns the smallest witness.
+The witness engine decides first, so a cube-free set costs what
+is_cube_free costs, then descends without backtracking: each step takes
+the smallest g >= the last generator whose child D & (D - g) holds a cube
+of the remaining dimension.  No such cube has a generator below the last
+one (it would have passed first), so the first g to pass always completes.
 
-Both engines recurse once per generator, so a dimension near the
+The decision engine recurses once per generator, so a dimension near the
 interpreter's recursion limit ends in CapacityError.  The memo stores
 finished values only, so answers after such a failure are unchanged.
 """
@@ -220,46 +223,43 @@ def is_cube_free(A: ResidueSet, d: int, scale_invariant: bool = False) -> bool:
 def find_cube(A: ResidueSet, d: int) -> CubeWitness | None:
     """Lexicographically smallest d-cube witness inside A, or None.
 
-    Generators are drawn from the current candidate set in ascending order,
-    so depth-first search reaches witnesses in lexicographic order; the
-    memoized decision engine vets each subtree before it is entered.
+    Decided at the root first, then read off one generator at a time: the
+    first that passes at each step, with no backtracking.
     """
     if d < 1:
         raise ValueError(f"cube dimension must be positive, got {d}")
     ctx = A.ctx
-    amask = A.mask
-    if amask == 0:
+    D = A.mask
+    if D == 0:
         return None
-    if amask & 1:
+    if D & 1:
         return CubeWitness.build(GeneratorMultiset.of(ctx, (0,) * d), A)
-    n = ctx.n
-    size = ctx.modulus
-    prefix: list[int] = []
-
-    def rec(D: int, need: int) -> bool:
-        if need == 0:
-            return True
-        doubled = D | D << size
-        rest = D >> prefix[-1] << prefix[-1] if prefix else D  # keep the tuple non-decreasing
-        while rest:
-            low = rest & -rest
-            g = low.bit_length() - 1
-            rest ^= low
-            child = D & (doubled >> g)
-            if _maxdim(child, n, need - 1) >= need - 1:
-                prefix.append(g)
-                if rec(child, need - 1):
-                    return True
-                prefix.pop()
-        return False
-
+    n, size = ctx.n, ctx.modulus
+    generators, g = [], 0  # g: the last generator chosen
     try:
-        found = rec(amask, d)
+        if _maxdim(D, n, d) < d:
+            return None
+        # Every cube of the remaining dimension in D has all its generators >= g,
+        # the last one chosen: were y < g a generator of such a cube Y, the
+        # previous D held {g} | Y, so y would have passed there before g.  Each
+        # generator of such a cube passes, so the first to pass completes.
+        for need in range(d - 1, -1, -1):
+            doubled = D | D << size
+            rest = D >> g << g
+            while rest:
+                low = rest & -rest
+                g = low.bit_length() - 1
+                rest ^= low
+                child = D & (doubled >> g)  # D & (D - g)
+                if _maxdim(child, n, need) >= need:
+                    break
+            else:
+                raise AssertionError(f"no generator extends {generators} to a {d}-cube")
+            generators.append(g)
+            D = child
     except RecursionError:
         raise _out_of_depth(d) from None
-    if found:
-        return CubeWitness.build(GeneratorMultiset.of(ctx, tuple(prefix)), A)
-    return None
+    return CubeWitness.build(GeneratorMultiset.of(ctx, tuple(generators)), A)
 
 
 def _run_masks(n: int, m: int) -> Iterator[int]:

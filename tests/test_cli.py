@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -9,8 +10,9 @@ import pytest
 
 from cubefree import cli
 from cubefree.construction import layered_construction
+from cubefree.counting import count_schur_triples
 from cubefree.errors import CapacityError
-from cubefree.groups import GroupContext, layer_range_set
+from cubefree.groups import GroupContext, ResidueSet, layer_range_set
 from cubefree.search import max_cube_free_exact
 
 
@@ -50,12 +52,38 @@ def test_find_cube_in_the_widest_group(tmp_path):
     assert time.process_time() - start < 10
 
 
+def test_find_cube_decides_a_cube_free_set_at_its_root(tmp_path):
+    # 677 of the 832 members of the d = 5 construction of Z_{2^10}: the caps
+    # prove it 5-cube-free at the root; searching every member's child, which
+    # keeps the root's layers, ran for minutes
+    rng = random.Random(5)
+    members = layered_construction(5, GroupContext(10)).members()
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps([x for x in members if rng.random() < 0.8]))
+    start = time.process_time()
+    code, report = run_cli("find-cube", "--n", "10", "--d", "5", "--set", str(path))
+    assert code == 0 and report.result["found"] is False
+    assert time.process_time() - start < 5
+
+
 def test_count_st_command():
     code, report = run_cli("count-st", "--set", "1,2,3,5,7", "--n", "3")
     assert code == 0
     assert report.result["st"] == 12
     assert report.result["f_lower_bound"] == 12
     assert report.result["by_layer"]["1"]["sum_above"] == 4
+
+
+def test_count_st_reads_st_off_the_layer_table(rng):
+    # ST is the layer totals plus (0, 0, 0), the one triple in no layer
+    for n in (1, 3, 6, 9):
+        ctx = GroupContext(n)
+        for with_zero in (False, True):
+            for _ in range(5):
+                A = ResidueSet(ctx, rng.getrandbits(ctx.modulus) & ~1 | with_zero)
+                code, report = run_cli("count-st", "--n", str(n), "--set",
+                                       ",".join(map(str, A.members())))
+                assert code == 0 and report.result["st"] == count_schur_triples(A)
 
 
 def test_count_st_walks_sparse_sets_of_the_widest_group():

@@ -91,16 +91,41 @@ def test_layer_unions_match_enumeration():
 
 
 def test_find_cube_witness_is_lex_minimal(rng):
-    ctx = GroupContext(4)
-    for _ in range(150):
-        A = ResidueSet(ctx, rng.getrandbits(16))
-        witness = find_cube(A, 3)
+    # the descent keeps the first generator to pass at each step; the witness
+    # must still be the first cube-holding tuple in lexicographic order
+    cases = [(GroupContext(4), 3, 0)] * 150
+    cases += [(GroupContext(5), d, rng.randint(1, 3)) for d in range(2, 6) for _ in range(40)]
+    for ctx, d, thinnings in cases:
+        mask = rng.getrandbits(ctx.modulus)
+        for _ in range(thinnings):
+            mask &= rng.getrandbits(ctx.modulus) & ~1
+        A = ResidueSet(ctx, mask)
+        witness = find_cube(A, d)
         naive = next(
-            (g for g in combinations_with_replacement(A.members(), 3)
+            (g for g in combinations_with_replacement(A.members(), d)
              if cube_mask(g, ctx) & ~A.mask == 0), None)
         assert (witness is None) == (naive is None)
         if witness is not None:
             assert witness.generators.elements == naive
+
+
+def test_find_cube_on_a_cube_free_set_only_decides(rng):
+    # a cube-free set is answered at the root, where the caps apply, so
+    # find_cube leaves exactly the memo is_cube_free leaves; probing the
+    # children, which keep the root's layers, would fill it with their searches
+    for d in (5, 7):
+        for n in range(6, 9):
+            members = layered_construction(d, GroupContext(n)).members()
+            for _ in range(3):
+                A = ResidueSet.from_members(
+                    GroupContext(n), [x for x in members if rng.random() < 0.85])
+                memos = []
+                for query in (is_cube_free, find_cube):
+                    clear_detection_cache()
+                    query(A, d)
+                    memos.append((dict(detection._exact), dict(detection._atleast)))
+                assert find_cube(A, d) is None
+                assert memos[0] == memos[1]
 
 
 def test_construction_maximality_beyond_small_dimensions():
@@ -514,7 +539,9 @@ def test_detection_tree_is_pinned(rng):
 def test_one_shot_memo_is_pinned(rng):
     # the memo after a fixed batch of one-shot queries from a cold memo;
     # keyed on halved sets only, odd dilates no longer share an entry
-    # (607, 88 when keys were scaled to the smallest odd member 1)
+    # (607, 88 when keys were scaled to the smallest odd member 1); find_cube
+    # decides at the root first and no longer searches the children of a
+    # cube-free set (615, 83 when it did)
     clear_detection_cache()
     for n in (5, 6):
         ctx = GroupContext(n)
@@ -523,7 +550,7 @@ def test_one_shot_memo_is_pinned(rng):
             d = rng.randint(2, n + 1)
             find_cube(A, d)
             is_cube_free(A, d)
-    assert (len(detection._exact), len(detection._atleast)) == (615, 83)
+    assert (len(detection._exact), len(detection._atleast)) == (610, 83)
 
 
 def test_run_masks_are_built_as_read():
