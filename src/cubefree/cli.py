@@ -144,12 +144,15 @@ def _cmd_max_search(args, budget) -> tuple[Any, str]:
         cert = (max_cube_free_exact(ctx, args.d, symmetry=args.symmetry, budget=budget)
                 if args.mode == "exact"
                 else max_cube_free_layer_unions(ctx, args.d, budget=budget))
-        return {
+        result = {
             "mode": cert.mode,
             "optimum": cert.optimum,
             "witness": cert.witness.members(),
             "explored": cert.explored,
-        }, STATUS_OK
+        }
+        if args.mode == "exact":
+            result["constraints"] = cert.constraints
+        return result, STATUS_OK
     if args.mode == "lp":
         model = export_lp(ctx, args.d, patterns=args.patterns, budget=budget)
         return _emit_model(model, args), STATUS_OK

@@ -1,29 +1,36 @@
 """Exact extremal searches and solver-model export.
 
-The maximum cube-free search works on the complete, deduplicated family of
-cube masks for the requested dimension: a subset is feasible iff it fully
-contains none of them.  Dominated masks (supersets of another cube) are
-dropped since the smaller cube's constraint implies theirs.  An odd unit lam
-maps cubes onto cubes, lam B(a_1, ..., a_d) = B(lam a_1, ..., lam a_d), so
-only one multiset per orbit is folded: the all-zero one, and those holding
-2^v with every generator a multiple of 2^v.  These masks are taken by
-increasing size and looked up in a set-trie of the kept ones; a survivor
-brings its whole orbit in, and the kept family is returned in (bit count,
-value) order, as filtering every multiset's mask would leave it.  The
-exact search branches on the elements of a smallest open constraint (every
-feasible improvement must exclude one of them), with a greedy
-disjoint-constraint packing as the lower bound on further exclusions and
-the layered construction as the initial incumbent.
+The maximum cube-free search gathers its constraints lazily.  It starts
+with no cube masks and the layered construction as the incumbent, and
+branches on the free members of a smallest open constraint (every feasible
+improvement must exclude one of them), with a greedy disjoint-constraint
+packing as the lower bound on further exclusions.  Where the packing does
+not prune, ``find_cube`` is asked for a cube among the residues neither
+excluded nor used by the packing: each one found needs its own exclusion,
+and a node with no open constraint and no such cube is a feasible leaf.  An
+odd unit lam maps cubes onto cubes, lam B(a_1, ..., a_d) = B(lam a_1, ...,
+lam a_d), so each cube found brings its whole odd-scaling orbit in.
+
+The LP and DIMACS exports need the complete family instead: the cube masks
+of one multiset per orbit, the all-zero one and those holding 2^v with
+every generator a multiple of 2^v, deduplicated and without dominated
+masks (supersets of another cube, whose constraint the smaller cube's
+implies).  These masks are taken by increasing size and looked up in a
+set-trie of the kept ones; a survivor brings its whole orbit in, and the
+kept family is returned in (bit count, value) order, as filtering every
+multiset's mask would leave it.
 
 The branch and bound keeps its constraints as bits of big ints.  Constraint
-i is the i-th kept mask; inc[x] has bit i set iff residue x lies in
+i is the i-th mask gathered; inc[x] has bit i set iff residue x lies in
 constraint i.  The open constraints sit in free-count buckets: bucket k holds
 those with k members not yet forced in.  Excluding x clears inc[x] from every
 bucket; forcing x in moves the bucket-k bits of inc[x] down to bucket k - 1;
-a node is dead once bucket 0 is nonempty.  The branch constraint is the
-lowest index in the lowest nonempty bucket.  The packing takes the lowest
-unblocked open index and blocks every constraint that shares a free member
-with it, by clearing inc[y] for each of its free members y.
+a node is dead once bucket 0 is nonempty.  A constraint gathered below a
+node joins its buckets when the node next looks, unless it holds an
+excluded residue.  The branch constraint is the lowest index in the lowest
+nonempty bucket.  The packing takes the lowest unblocked open index and
+blocks every constraint that shares a free member with it, by clearing
+inc[y] for each of its free members y.
 
 The layer-union search counts v down from 2^n - 1: with L_i on bit n - i,
 the union of the layers L_1..L_n picked by the bits of v has exactly v
@@ -41,11 +48,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .construction import construction_layers, layered_construction
 from .counting import count_schur_triples
-from .detection import find_degenerate_3cube, is_cube_free, max_cube_dimension
+from .detection import find_cube, find_degenerate_3cube, is_cube_free, max_cube_dimension
 from .errors import CapacityError, comb_within_budget
 from .groups import GroupContext, ResidueSet, _layer_masks, mask_members, shift_mask
 from .sumsets import cube_mask
@@ -63,6 +70,7 @@ class SearchCertificate:
     optimum: int
     witness: ResidueSet
     explored: int
+    constraints: int = 0  # cube masks the exact search gathered
 
 
 def _holds_subset(node: dict, m: int) -> bool:
@@ -164,64 +172,109 @@ def _bnb_max(
     start_mask: int,
     forced_in: int,
     node_budget: int,
+    separate: Callable[[int], list[int]] | None = None,
 ) -> tuple[int, int, int]:
     """Branch-and-bound maximization of |A| subject to containing no mask.
 
-    ``masks`` must be in (bit count, value) order, as ``_minimal_unique``
-    returns them: constraint i is masks[i], and the branching and packing
-    rules read that order.  (start_val, start_mask) must be feasible;
-    forced_in elements may never be excluded (callers establish that this
-    loses no optimum).  Returns (best value, a best mask, nodes visited).
-    Bits are cleared as ``b ^ (b & hit)``: ``b & ~hit`` first builds a
-    negative int, five times slower on 27k-bit ints.
+    Constraint i is masks[i].  Without ``separate``, masks is the whole
+    family, in (bit count, value) order as ``_minimal_unique`` returns it,
+    and the branching and packing rules read that order.  With
+    ``separate``, masks may start empty and the family is learnt as the
+    search goes: ``separate(cand)`` returns [] when cand holds no member of
+    the family, and otherwise members of it, the first one inside cand;
+    those not yet in masks are appended to it.  It is asked wherever the
+    greedy packing does not prune, on the residues neither excluded nor
+    used by the packing, and each first mask it returns adds one to the
+    packing.  (start_val, start_mask) must be feasible; forced_in elements
+    may never be excluded (callers establish that this loses no optimum).
+    Returns (best value, a best mask, nodes visited).  Bits are cleared as
+    ``b ^ (b & hit)``: ``b & ~hit`` first builds a negative int, five times
+    slower on 27k-bit ints.
     """
     full = (1 << size) - 1
-    # little-endian bytes of the incidence ints and the root's buckets
-    width = (len(masks) + 7) >> 3
-    inc_bytes = [bytearray(width) for _ in range(size)]
-    bucket_bytes = [bytearray(width) for _ in range(size + 1)]
-    for i, c in enumerate(masks):
-        byte, bit = i >> 3, 1 << (i & 7)
-        bucket_bytes[(c & ~forced_in).bit_count()][byte] |= bit
-        for x in mask_members(c):
-            inc_bytes[x][byte] |= bit
-    inc = [int.from_bytes(b, "little") for b in inc_bytes]
-    root = [int.from_bytes(b, "little") for b in bucket_bytes]
-    while len(root) > 1 and not root[-1]:
-        root.pop()
+    inc = [0] * size
+    held = set(masks)
     best_val, best_mask, nodes = start_val, start_mask, 0
 
-    def rec(excluded: int, exc_count: int, forbidden: int, buckets: list[int]) -> None:
+    def index_from(base: int) -> None:
+        """Set the bits of constraints base, base + 1, ... in inc."""
+        new_inc: dict[int, int] = {}
+        for i in range(base, len(masks)):
+            for x in mask_members(masks[i]):
+                new_inc[x] = new_inc.get(x, 0) | 1 << (i - base)
+        for x, bits in new_inc.items():
+            inc[x] |= bits << base
+
+    def catch_up(excluded: int, forbidden: int, buckets: list[int], seen: int) -> int:
+        """Bucket the constraints from index seen on that hold no excluded residue."""
+        fresh: dict[int, int] = {}
+        for i in range(seen, len(masks)):
+            c = masks[i]
+            if not c & excluded:
+                k = (c & ~forbidden).bit_count()
+                fresh[k] = fresh.get(k, 0) | 1 << (i - seen)
+        for k, bits in fresh.items():
+            buckets.extend([0] * (k + 1 - len(buckets)))
+            buckets[k] |= bits << seen
+        return len(masks)
+
+    def rec(excluded: int, exc_count: int, forbidden: int, buckets: list[int],
+            seen: int) -> None:
         nonlocal best_val, best_mask, nodes
         nodes += 1
         if nodes > node_budget:
             raise CapacityError(
                 f"branch-and-bound exceeded the node budget of {node_budget}"
             )
+        seen = catch_up(excluded, forbidden, buckets, seen)
         if buckets[0]:
             return  # some cube can no longer be broken
+        limit = size - best_val - 1
+        if exc_count > limit:
+            return  # no leaf below beats the incumbent
         alive = 0
         for b in buckets:
             alive |= b
-        if not alive:
-            val = size - exc_count
-            if val > best_val:
-                best_val, best_mask = val, full & ~excluded
-            return
-        limit = size - best_val - 1
         # greedy packing of free-disjoint constraints, lowest index first:
         # each needs its own exclusion
         packing = exc_count
         unblocked = alive
+        used = 0
         while unblocked:
             packing += 1
             if packing > limit:
                 return
             rest = masks[(unblocked & -unblocked).bit_length() - 1] & ~forbidden
+            used |= rest
             while rest:
                 low = rest & -rest
                 rest ^= low
                 unblocked ^= unblocked & inc[low.bit_length() - 1]
+        if separate is not None:
+            # a constraint found apart from the packing's free members needs
+            # one more exclusion
+            while found := separate(full & ~excluded & ~used):
+                base = len(masks)
+                for c in found:
+                    if c not in held:
+                        held.add(c)
+                        masks.append(c)
+                index_from(base)
+                rest = found[0] & ~forbidden
+                packing += 1
+                if not rest or packing > limit:
+                    return
+                used |= rest
+            seen = catch_up(excluded, forbidden, buckets, seen)
+            if buckets[0]:
+                return
+            for b in buckets:
+                alive |= b
+        if not alive:
+            val = size - exc_count
+            if val > best_val:
+                best_val, best_mask = val, full & ~excluded
+            return
         # branch on the free members of the lowest index with fewest of them
         low_bucket = next(b for b in buckets if b)
         rest = masks[(low_bucket & -low_bucket).bit_length() - 1] & ~forbidden
@@ -229,7 +282,8 @@ def _bnb_max(
             low = rest & -rest
             rest ^= low
             hit = inc[low.bit_length() - 1]
-            rec(excluded | low, exc_count + 1, forbidden, [b ^ (b & hit) for b in buckets])
+            rec(excluded | low, exc_count + 1, forbidden, [b ^ (b & hit) for b in buckets],
+                seen)
             # low stays in from here on: its constraints lose a free member
             forbidden |= low
             for k in range(1, len(buckets)):
@@ -237,8 +291,10 @@ def _bnb_max(
                 if moved:
                     buckets[k] ^= moved
                     buckets[k - 1] |= moved
+            seen = catch_up(excluded, forbidden, buckets, seen)
 
-    rec(0, 0, forced_in, root)
+    index_from(0)
+    rec(0, 0, forced_in, [0], 0)
     return best_val, best_mask, nodes
 
 
@@ -250,8 +306,12 @@ def max_cube_free_exact(
 ) -> SearchCertificate:
     """Maximum cardinality of a d-cube-free subset of Z_{2^n}, with a maximizer.
 
-    ``budget`` caps both the generator multisets, every one counted, and
-    the branch-and-bound nodes; None keeps DEFAULT_ENUM_BUDGET and
+    The branch and bound starts with no constraints and asks ``find_cube``
+    for a cube where it needs one; each cube found brings in its
+    odd-scaling orbit, and ``constraints`` counts the cube masks so
+    gathered.  ``budget`` caps both the generator multisets, every one
+    counted (there is at most one gathered mask per multiset), and the
+    branch-and-bound nodes; None keeps DEFAULT_ENUM_BUDGET and
     DEFAULT_NODE_BUDGET.  ``symmetry=True`` fixes 1 as a member (the odd-unit
     action maps any set with an odd element onto one containing 1, and sets
     without odd elements never beat the layered incumbent); it only engages
@@ -262,21 +322,32 @@ def max_cube_free_exact(
     if d == 1:
         # any single element is a 1-cube, so only the empty set qualifies
         return SearchCertificate("exhaustive", 0, ResidueSet.empty(ctx), 0)
-    masks = cube_constraint_masks(ctx, d, budget)
+    comb_within_budget(ctx.modulus + d - 1, d,
+                       DEFAULT_ENUM_BUDGET if budget is None else budget, "generator multisets")
     seed_val, seed_mask = 0, 0
     if construction_layers(d)[-1] <= ctx.n:
         seed = layered_construction(d, ctx)
-        if all(c & ~seed.mask for c in masks):
+        if is_cube_free(seed, d):
             seed_val, seed_mask = len(seed), seed.mask
     forced = 0
     if symmetry and seed_val >= (1 << (ctx.n - 1)):
         forced = 1 << 1  # residue 1 stays in
+
+    def separate(cand: int) -> list[int]:
+        found = find_cube(ResidueSet(ctx, cand), d)
+        if found is None:
+            return []
+        cube = found.cube.mask
+        return [cube, *_odd_scalings(list(mask_members(cube)), ctx.n)]
+
+    masks: list[int] = []
     val, mask, explored = _bnb_max(ctx.modulus, masks, seed_val, seed_mask, forced,
-                                   DEFAULT_NODE_BUDGET if budget is None else budget)
+                                   DEFAULT_NODE_BUDGET if budget is None else budget,
+                                   separate)
     witness = ResidueSet(ctx, mask)
     if len(witness) != val or not is_cube_free(witness, d):
         raise AssertionError("search produced an invalid witness")
-    return SearchCertificate("branch_and_bound", val, witness, explored)
+    return SearchCertificate("branch_and_bound", val, witness, explored, len(masks))
 
 
 def union_max_dimension(layer_indices: tuple[int, ...], ctx: GroupContext, cap: int) -> int:

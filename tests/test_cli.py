@@ -152,6 +152,15 @@ def test_max_search_modes(tmp_path):
     assert code == 0 and report.result["feasible"] and report.result["objective"] == 4
 
 
+def test_max_search_reports_gathered_constraints():
+    # the exact search reports the cube masks it asked find_cube for, orbits included
+    code, report = run_cli("max-search", "--n", "5", "--d", "4", "--symmetry")
+    assert code == 0
+    assert [report.result[key] for key in ("optimum", "explored", "constraints")] == [24, 36, 129]
+    code, report = run_cli("max-search", "--n", "4", "--d", "2", "--mode", "layers")
+    assert code == 0 and "constraints" not in report.result
+
+
 def test_validate_reads_dimacs_solver_output(tmp_path):
     sol = tmp_path / "solver.out"
     sol.write_text("s SATISFIABLE\nv 1 -2 3 -4 5 0\n")

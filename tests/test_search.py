@@ -107,10 +107,27 @@ def test_exact_small_values():
 
 
 def test_exact_confirms_construction_at_larger_cases():
-    # theorem cases (d a power of two) and the first conjectured cases
-    for n, d in [(4, 4), (4, 5), (4, 8), (5, 4)]:
-        cert = max_cube_free_exact(GroupContext(n), d, symmetry=True)
+    # theorem cases (d a power of two) and the first conjectured cases; (6, 5)
+    # needs its C(68, 5) generator multisets as the budget
+    for n, d, budget in [(4, 4, None), (4, 5, None), (4, 8, None), (5, 4, None),
+                         (6, 4, None), (6, 5, 10_424_128)]:
+        cert = max_cube_free_exact(GroupContext(n), d, symmetry=True, budget=budget)
         assert cert.optimum == construction_size(d, GroupContext(n))
+        assert len(cert.witness) == cert.optimum and is_cube_free(cert.witness, d)
+    assert (construction_size(4, GroupContext(6)), construction_size(5, GroupContext(6))) == (48, 52)
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in range(1, 5) for d in range(2, 9)]
+                         + [(5, d) for d in range(2, 6)])
+def test_lazy_search_matches_enumerated_family(n, d):
+    # the exact search gathers its cubes from find_cube; the enumerated
+    # minimal family, searched with no incumbent, is the independent oracle
+    ctx = GroupContext(n)
+    optimum, _, _ = _bnb_max(ctx.modulus, cube_constraint_masks(ctx, d), 0, 0, 0, 10**7)
+    for symmetry in (False, True):
+        cert = max_cube_free_exact(ctx, d, symmetry=symmetry)
+        assert cert.optimum == optimum
+        assert len(cert.witness) == optimum and is_cube_free(cert.witness, d)
 
 
 def test_exact_search_without_construction_seed():
@@ -222,9 +239,11 @@ def test_bitset_branch_and_bound_matches_list_walk(family):
 
 
 def test_search_trees_are_pinned():
-    # the optimum, and the node count that shows the tree is walked unchanged
-    for n, symmetry, optimum, explored in ((6, True, 40, 2504), (5, False, 20, 101),
-                                           (5, True, 20, 72)):
+    # the optimum, and the node count that shows the tree is walked unchanged;
+    # the cubes are gathered lazily, and a partial pool prunes less than the
+    # whole minimal family would
+    for n, symmetry, optimum, explored in ((6, True, 40, 2714), (5, False, 20, 142),
+                                           (5, True, 20, 82)):
         cert = max_cube_free_exact(GroupContext(n), 3, symmetry=symmetry)
         assert (cert.optimum, cert.explored) == (optimum, explored)
         assert len(cert.witness) == optimum and is_cube_free(cert.witness, 3)
