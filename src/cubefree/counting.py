@@ -14,20 +14,26 @@ squaring when X = Y) field s counts the pairs with x + y = s, 0 <= s <
 2^(n+1) - 1.  Adding the product shifted down by 2^n fields folds field
 s + 2^n onto field s, which then holds the cyclic count, at most 2^n: it
 fits n + 1 bits, so no field carries into the next.  ANDing with the spread
-of Z times 2^(n+1) - 1 keeps the fields of Z, and their total is
-sum over k <= n of 2^k popcount((selected >> k) & unit), the unit having
-the low bit of every field set.  The tables are built at first use and
-kept for every n <= 10 and one wider n (5.8 MB of unit at n = 21).
+of Z times 2^(n+1) - 1 keeps the fields of Z.  Their total is one modulo:
+adding the fields at odd positions onto those at even ones (the even mask
+keeps every bit of the even fields) leaves 2(n + 1)-bit slots of at most
+2^(n+1) each, and the slots sum modulo 2^(2n+2) - 1, as 2^(2n+2) is 1
+there.  The total is at most 4^n, below that modulus, so the sum is exact.
+The tables are built at first use and kept for every n <= 10 and one wider
+n (5.8 MB of even mask at n = 21).
 
 The product costs the same for every pair of sets of a given n, so sparse
 sets keep the loop: for each x in the smaller of X and Y, popcount Y & (Z
 - x), each Z - x read off the doubled mask Z | Z << 2^n by a right shift.
 The loop runs when that set has fewer than max(12, 2^n / 8) members.  On a
-2-vCPU Xeon VM (CPython 3.11.7, X = Y = Z, best of 3) the two paths cross
-at 12 members for n = 4 and 5 and at 16 for n = 6 and 7; from n = 8 to 18
-the loop over 2^n / 8 members takes 0.65 to 1.23 times the product's time,
-and over 2^n / 4 members 0.9 to 2.7 times.  A random set of Z_{2^8} counts
-in 10-12 us, a quarter of the loop's 45-48 us.
+2-vCPU Xeon VM (CPython 3.11.7, X = Y = Z, best of 5) the two paths cross
+at 5 to 8 members for n = 4 to 6, at 10 to 12 for n = 7, at about 22 for n = 8
+and at about 2^n / 8 for n = 9 and 10; from n = 10 to 18 the loop over
+2^n / 8 members takes 0.6 to 1.6 times the product's time, and over
+2^n / 4 members 1.2 to 2.0 times.  Below 12 members at n = 4 to 6 the
+product would save about 0.02 s of the 0.1 s that all 65,536 sets of
+Z_{2^4} take, so the rule stands.  A random set of Z_{2^8} counts in about
+6 us.
 
 A Schur triple never has its three members in three distinct layers, and
 never all three in one layer -- with the single exception of (0, 0, 0),
@@ -46,15 +52,15 @@ _LOOP_SHARE = 8
 
 
 def _build_spread(n: int) -> tuple[tuple[bytes, ...], int]:
-    """The byte table of the (n + 1)-bit field spread of Z_{2^n}, and its unit.
+    """The byte table of the (n + 1)-bit field spread of Z_{2^n}, and its even mask.
 
     Entry v holds bits j of v in fields j: n + 1 bytes for eight fields.  The
-    unit has the low bit of every field set, the spread of the full group.
+    even mask has every bit of the fields at even positions set.
     """
     width = n + 1
     table = tuple(sum(1 << width * j for j in range(8) if v >> j & 1).to_bytes(width, "little")
                   for v in range(256))
-    return table, int.from_bytes(table[255] * ((1 << n) >> 3), "little")
+    return table, int.from_bytes(table[0x55] * ((1 << n) >> 3), "little") * ((1 << width) - 1)
 
 
 _spread_tables = _KernelTables(_build_spread)
@@ -73,7 +79,7 @@ def _pair_sums_in(X: int, Y: int, Z: int, n: int) -> int:
         for x in mask_members(X):
             total += (Y & (doubled >> x)).bit_count()
         return total
-    table, unit = _spread_tables[n]
+    table, even = _spread_tables[n]
     nbytes = size >> 3  # 2^n >= _LOOP_MEMBERS here, so n >= 4 and the mask is whole bytes
     spread_x = _spread(X, table, nbytes)
     spread_y = spread_x if Y == X else _spread(Y, table, nbytes)
@@ -81,7 +87,8 @@ def _pair_sums_in(X: int, Y: int, Z: int, n: int) -> int:
     width = n + 1
     product = spread_x * spread_y  # a squaring when X == Y: the same object twice
     selected = (product + (product >> (width << n))) & spread_z * ((1 << width) - 1)
-    return sum(((selected >> k) & unit).bit_count() << k for k in range(width))
+    # adjacent fields summed into 2w-bit slots, then the slots by one modulo 2^(2w) - 1
+    return ((selected & even) + (selected >> width & even)) % ((1 << 2 * width) - 1)
 
 
 def _spread(mask: int, table: tuple[bytes, ...], nbytes: int) -> int:

@@ -38,7 +38,8 @@ up, so the caps decide most calls for the price of a few mask ANDs.
   set is halved down to its lowest layer first, so m counts from there,
   and the cap recurses on the word of valuations present.  The first gap
   is used, and only if m <= GAP_CAP_MAX_M = 3, the largest k at which
-  every x is checked
+  every x is checked by the default test run; k = 4 is checked too, behind
+  the opt-in slow marker
   (tests/test_detection.py::test_gap_cap_premise and
   test_gap_cap_uses_only_checked_gaps).  Without such a gap the cap is the
   zero-sum cap 2^(top-low+1) - 1, the gap above the top layer: among that

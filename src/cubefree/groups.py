@@ -117,8 +117,9 @@ class ResidueSet:
     @classmethod
     def from_members(cls, ctx: GroupContext, members: Iterable[int]) -> "ResidueSet":
         buf = bytearray(max(ctx.modulus >> 3, 1))
+        top = ctx.modulus - 1
         for x in members:
-            x = ctx.reduce(x)
+            x &= top
             buf[x >> 3] |= 1 << (x & 7)
         return cls(ctx, int.from_bytes(buf, "little"))
 

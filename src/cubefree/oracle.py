@@ -8,6 +8,12 @@ or carries x + 1 pairwise disjoint nonempty sub-collections each summing to
 small k and reports any counterexample (none are expected); subset sums only
 grow, so half sums are counted by stopping at the first prefix reaching 2^k.
 
+Disjoint zero-sum parts come from an exact DP keyed on the multiplicity
+vector of the residues still free, so its cost follows the number of
+sub-multisets, the product of (count + 1) over the distinct residues, not
+2^(size): 30 residues of two kinds are 256 vectors.  Above 2^22 vectors it
+raises CapacityError before it enumerates them.
+
 The three compression operators rewrite a collection at a caller-chosen
 site; on collections with no half-modulus subset sum, type 1 preserves the
 iterated sumset exactly, types 2 and 3 never enlarge it, and all three
@@ -18,13 +24,14 @@ explicitly because the interesting applications choose them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, InapplicableCompressionError, comb_within_budget
 from .groups import GroupContext, mask_members, residue_abs, shift_mask, subset_sums
 
 DEFAULT_INSTANCE_BUDGET = 100_000_000
-_SUBSET_ENUM_LIMIT = 22  # collections above this size would need > 4M subset masks
+_SUBSET_ENUM_LIMIT = 22  # at most 2^22 sub-multiset count vectors are enumerated
 
 
 @dataclass(frozen=True)
@@ -77,25 +84,6 @@ class ResidueCollection:
         return subset_sums(self.elements, self.modulus)
 
 
-def _zero_sum_index_masks(C: ResidueCollection) -> list[int]:
-    """All nonempty index subsets whose elements sum to 0 modulo 2^(k+1)."""
-    s = len(C.elements)
-    if s > _SUBSET_ENUM_LIMIT:
-        raise CapacityError(
-            f"zero-sum subset enumeration over {s} elements exceeds the limit",
-            space_size=1 << s,
-        )
-    mod = C.modulus
-    sums = [0] * (1 << s)
-    masks = []
-    for m in range(1, 1 << s):
-        low = m & -m
-        sums[m] = (sums[m ^ low] + C.elements[low.bit_length() - 1]) % mod
-        if sums[m] == 0:
-            masks.append(m)
-    return masks
-
-
 @dataclass(frozen=True)
 class DisjointZeroCertificate:
     """Pairwise-disjoint nonempty index sets, each summing to 0 modulo 2^(k+1)."""
@@ -116,34 +104,93 @@ class DisjointZeroCertificate:
 def _largest_disjoint_family(C: ResidueCollection) -> tuple[int, ...]:
     """Index masks of a largest family of disjoint zero-sum parts, by lowest index.
 
-    Memoized DP, local to the call, on the mask R of free indices:
-    f(R) = max(f(R - min R), 1 + f(R - T)) over the zero-sum masks T inside R
-    whose lowest index is min R.  The memo keeps a largest family per R.
+    Memoized DP, local to the call, on the count vector v of the free
+    residues, packed in fields of w = bit_length(max count) + 1 bits:
+    f(v) = max(f(v - e_low), 1 + f(v - T)) over the zero-sum count vectors
+    T <= v that hold the lowest free residue.  The top bit of each field is a
+    guard G, clear in v, so T <= v iff (v - T) & G == 0.  As T >= e_low,
+    f(v - T) <= f(v - e_low): the parts are tried smallest first, up to the
+    first that adds one, and only while |v - T| >= 2 f(v - e_low), since no
+    residue is 0 and a part holds two or more.  The memo keeps a largest
+    family per v; each part T takes the next unused copy of each residue,
+    the copies being contiguous in the sorted ``elements``.
     """
-    by_min: list[list[int]] = [[] for _ in C.elements]
-    for mask in _zero_sum_index_masks(C):
-        by_min[(mask & -mask).bit_length() - 1].append(mask)
+    values = sorted(set(C.elements))
+    counts = [C.elements.count(r) for r in values]
+    space = prod(c + 1 for c in counts)
+    if space > 1 << _SUBSET_ENUM_LIMIT:
+        raise CapacityError(
+            f"{space} sub-multisets of the collection exceed the limit of 2^{_SUBSET_ENUM_LIMIT}",
+            space_size=space,
+        )
+    mod = C.modulus
+    # the sums of the sub-multisets over residues i.., built for i from the top:
+    # the one at index p holds p // spans[i] % (counts[i] + 1) copies of residue i
+    spans = [0] * len(values)
+    zeros_from: list[list[int]] = [[]] * len(values)  # the zero sums whose lowest residue is i
+    sums = [0]
+    for i in range(len(values) - 1, -1, -1):
+        spans[i] = span = len(sums)
+        r, below = values[i], sums[:]
+        for c in range(1, counts[i] + 1):
+            sums += [(s + c * r) % mod for s in below]
+        zeros_from[i] = [p for p, s in enumerate(sums[span:], span) if not s]
+    del sums
+    width = max(counts, default=0).bit_length() + 1
+    shifts = range(0, width * len(values), width)
+    # by the lowest set bit of v: e_low, and the zero-sum T holding the lowest
+    # free residue with their sizes |T|, smallest first
+    steps = []
+    for i, zeros in enumerate(zeros_from):
+        parts = []
+        for p in zeros:
+            digits = [p // span % (c + 1) for span, c in zip(spans, counts)]
+            parts.append((sum(digits), sum(d << shift for d, shift in zip(digits, shifts))))
+        steps += [(1 << shifts[i], sorted(parts))] * width
+    guard = sum(1 << shift + width - 1 for shift in shifts)
     memo: dict[int, tuple[int, ...]] = {0: ()}
 
-    def solve(free: int) -> tuple[int, ...]:
+    def solve(free: int, size: int) -> tuple[int, ...]:
         family = memo.get(free)
         if family is None:
-            low = free & -free
-            family = solve(free ^ low)
-            for mask in by_min[low.bit_length() - 1]:
-                if mask & free == mask and len(rest := solve(free ^ mask)) >= len(family):
-                    family = (mask, *rest)
+            unit, parts = steps[(free & -free).bit_length() - 1]
+            family = solve(free - unit, size - 1)
+            most = size - 2 * len(family)
+            for part_size, part in parts:
+                if part_size > most:
+                    break
+                # a field with T_r > v_r borrows 2^w, which sets its guard bit
+                if not (left := free - part) & guard and \
+                        len(rest := solve(left, size - part_size)) == len(family):
+                    family = (part, *rest)
+                    break
             memo[free] = family
         return family
 
-    return solve((1 << len(C.elements)) - 1)
+    try:
+        family = solve(sum(c << shift for c, shift in zip(counts, shifts)), len(C))
+    except RecursionError:
+        raise CapacityError(f"the disjoint zero-sum search over {len(C)} residues ran out of "
+                            "depth: it needs more nested calls than the recursion limit allows"
+                            ) from None
+    field = (1 << width) - 1
+    starts = [C.elements.index(r) for r in values]
+    masks = []
+    for part in family:
+        mask = 0
+        for i, shift in enumerate(shifts):
+            c = part >> shift & field
+            mask |= ((1 << c) - 1) << starts[i]
+            starts[i] += c
+        masks.append(mask)
+    return tuple(masks)
 
 
 def disjoint_zero_sets(C: ResidueCollection, m: int) -> DisjointZeroCertificate | None:
     """m pairwise-disjoint nonempty zero-sum sub-collections, or None.
 
     The first m parts, by smallest contained index, of a largest family found
-    by an exact memoized DP over the indices still free.
+    by an exact memoized DP over the multiplicities of the residues still free.
     """
     if m < 1:
         raise ValueError(f"part count must be positive, got {m}")

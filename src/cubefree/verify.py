@@ -276,31 +276,33 @@ def _random_no_half_sum_collection(k: int, rng: random.Random) -> oracle.Residue
                half + 1, half + 2]
     for _ in range(rng.randint(0, 3)):
         items.append(palette[rng.randrange(len(palette))] % mod or 1)
-    C = oracle.ResidueCollection.of(k, items)
-    if C.sumset_mask() & (1 << half):
+    if subset_sums(items, mod) >> half & 1:
         return None
-    return C
+    return oracle.ResidueCollection.of(k, items)
 
 
 def _compression_sites(C: oracle.ResidueCollection) -> list[tuple[str, dict[str, int]]]:
     """(kind, site) pairs; a site holds the keyword arguments of ``oracle.compress``."""
     mod = C.modulus
     half = C.half
-    units = C.count_unit_pairs()
+    counts = [0] * mod
+    for e in C.elements:
+        counts[e] += 1
+    units = counts[1] + counts[mod - 1]
     sites = []
     for t in set(C.elements):
         at = min(t, mod - t)
         if 1 < at <= units + 1:
             sites.append(("type1", {"t": t}))
     for t in range(1, mod):
-        if C.count(-t) >= 1 and C.count(half - t) >= 2:
+        if counts[mod - t] and counts[(half - t) % mod] >= 2:
             sites.append(("type2", {"t": t}))
     if C.k >= 2 and units >= half // 2:
         lo, hi = 3 * (1 << (C.k - 2)), half - 1
         in_range = sorted({e for e in C.elements if lo <= e <= hi})
         for i, u in enumerate(in_range):
             for v in in_range[i:]:
-                if u == v and C.count(u) < 2:
+                if u == v and counts[u] < 2:
                     continue
                 sites.append(("type3", {"u": u, "v": v}))
     return sites

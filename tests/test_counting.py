@@ -102,6 +102,19 @@ def test_count_matches_naive_at_the_wrap():
             assert count_schur_triples(A) == naive_schur(A)
 
 
+def test_field_sum_is_exact_at_the_largest_total():
+    # the full group has the most pairs in every field, 2^n each, and the
+    # largest total, ST = 4^n: a field sum that overflowed would show here first
+    for n in range(4, 15):
+        ctx = GroupContext(n)
+        size = ctx.modulus
+        for A in (ResidueSet.full(ctx), ResidueSet(ctx, ctx.full_mask - 1)):
+            st_count = count_schur_triples(A)
+            assert st_count == (size * size if 0 in A else (size - 1) * (size - 2)), n
+            by_layer = count_triples_by_layer(A)
+            assert sum(c.total for c in by_layer.values()) == st_count - (0 in A), n
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 7).flatmap(
     lambda n: st.tuples(st.just(n), st.integers(0, (1 << (1 << n)) - 1))))

@@ -237,10 +237,11 @@ def test_zero_sum_cap_premise(case):
     assert cube_mask(elements, ctx) & layer_range_set(t + 1, n + 1, ctx).mask
 
 
-PREMISE_COUNTS = {1: 1, 2: 30, 3: 1756}  # k -> half-sum-free multisets of >= 2^k residues mod 2^(k+1)
+# k -> half-sum-free multisets of >= 2^k residues mod 2^(k+1)
+PREMISE_COUNTS = {1: 1, 2: 30, 3: 1756, 4: 347736}
 
 
-@pytest.mark.parametrize("k", sorted(PREMISE_COUNTS))
+@pytest.mark.parametrize("k", [1, 2, 3, pytest.param(4, marks=pytest.mark.slow)])
 def test_gap_cap_premise(k):
     # the zero-sum dichotomy at k for every x, the premise of the layer-gap
     # cap at a gap m = k: 2^k + x nonzero residues mod 2^(k+1) either have a

@@ -1,7 +1,7 @@
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubefree import cli
@@ -19,19 +19,27 @@ from cubefree.oracle import (
 )
 
 
-def _dfs_disjoint(masks_by_min, used, start, need):
-    """Depth-first search for ``need`` disjoint masks, parts ordered by lowest index."""
+def _dfs_disjoint(masks_by_min, used, start, need, failed):
+    """Depth-first search for ``need`` disjoint masks, parts ordered by lowest index.
+
+    ``failed`` holds the (used, start, need) states already searched in vain.
+    """
     if need == 0:
         return []
+    # no element is 0, so a part holds at least two of the indices left
+    if (used, start, need) in failed or \
+            ((1 << len(masks_by_min)) - (1 << start) & ~used).bit_count() < 2 * need:
+        return None
     for min_idx in range(start, len(masks_by_min)):
         if used >> min_idx & 1:
             continue
         for m in masks_by_min[min_idx]:
             if m & used:
                 continue
-            rest = _dfs_disjoint(masks_by_min, used | m, min_idx + 1, need - 1)
+            rest = _dfs_disjoint(masks_by_min, used | m, min_idx + 1, need - 1, failed)
             if rest is not None:
                 return [m] + rest
+    failed.add((used, start, need))
     return None
 
 
@@ -43,7 +51,7 @@ def reference_max_disjoint(C):
         if sum(C.elements[i] for i in range(s) if mask >> i & 1) % C.modulus == 0:
             by_min[(mask & -mask).bit_length() - 1].append(mask)
     best = 0
-    while _dfs_disjoint(by_min, 0, 0, best + 1) is not None:
+    while _dfs_disjoint(by_min, 0, 0, best + 1, set()) is not None:
         best += 1
     return best
 
@@ -51,6 +59,12 @@ def reference_max_disjoint(C):
 collections = st.integers(1, 3).flatmap(
     lambda k: st.lists(st.integers(1, (1 << (k + 1)) - 1), max_size=12).map(
         lambda xs: ResidueCollection.of(k, xs)))
+
+# at most three distinct residues, so multiplicities run high
+few_residue_collections = st.integers(1, 4).flatmap(
+    lambda k: st.lists(st.integers(1, (1 << (k + 1)) - 1), min_size=1, max_size=3, unique=True)
+    .flatmap(lambda palette: st.lists(st.sampled_from(palette), max_size=14))
+    .map(lambda xs: ResidueCollection.of(k, xs)))
 
 
 def test_collection_validation():
@@ -77,15 +91,39 @@ def test_disjoint_zero_sets_unit_pairing():
     assert max_disjoint_zero_sets(c) == 7
 
 
-@settings(max_examples=150, deadline=None)
-@given(collections)
-def test_disjoint_zero_parts_match_reference(C):
+def assert_matches_reference(C):
     best = max_disjoint_zero_sets(C)
     assert best == reference_max_disjoint(C)
     for m in range(1, best + 1):
         cert = disjoint_zero_sets(C, m)
         assert cert is not None and len(cert.parts) == m and cert.verify(C)
     assert disjoint_zero_sets(C, best + 1) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(collections)
+def test_disjoint_zero_parts_match_reference(C):
+    assert_matches_reference(C)
+
+
+@settings(max_examples=150, deadline=None)
+@given(few_residue_collections)
+@example(ResidueCollection.of(1, [1] * 6 + [2] * 8))  # parts {1,1,2}, {1,1,1,1}, {2,2}
+@example(ResidueCollection.of(4, [3] * 5 + [29] * 9))  # only pairs {3, 29} sum to 0
+def test_disjoint_zero_parts_match_reference_at_high_multiplicity(C):
+    # the DP is keyed on multiplicity vectors: repeated residues are where a
+    # count-vector slip would show, and the reference walks index masks
+    assert_matches_reference(C)
+
+
+def test_disjoint_zero_sets_beyond_22_elements():
+    # 30 residues but only 16 * 16 sub-multisets: the bound is on count vectors
+    assert max_disjoint_zero_sets(ResidueCollection.of(4, [1] * 15 + [31] * 15)) == 15
+    with pytest.raises(CapacityError) as err:
+        max_disjoint_zero_sets(ResidueCollection.of(4, range(1, 24)))
+    assert err.value.space_size == 1 << 23
+    with pytest.raises(CapacityError):  # few vectors, but deeper than the recursion limit
+        max_disjoint_zero_sets(ResidueCollection.of(1, [2] * 3000))
 
 
 def test_verify_dichotomy_small():
