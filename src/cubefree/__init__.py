@@ -55,7 +55,6 @@ from .search import (
     max_cube_free_layer_unions,
     min_schur_exhaustive,
     parse_assignment,
-    union_max_dimension,
     validate_assignment,
 )
 from .sumsets import projective_cube

@@ -15,10 +15,12 @@ The LP and DIMACS exports need the complete family instead: the cube masks
 of one multiset per orbit, the all-zero one and those holding 2^v with
 every generator a multiple of 2^v, deduplicated and without dominated
 masks (supersets of another cube, whose constraint the smaller cube's
-implies).  These masks are taken by increasing size and looked up in a
-set-trie of the kept ones; a survivor brings its whole orbit in, and the
-kept family is returned in (bit count, value) order, as filtering every
-multiset's mask would leave it.
+implies).  The degenerate patterns {x, x, x} and {x, 3x, y} are folded the
+same way, for x in {0} and the powers 2^v only, since lam {x, 3x, y} =
+{lam x, 3 lam x, lam y}.  These masks are taken by increasing size and
+looked up in a set-trie of the kept ones; a survivor brings its whole orbit
+in, and the kept family is returned in (bit count, value) order, as
+filtering every pattern's mask would leave it.
 
 The branch and bound keeps its constraints as bits of big ints.  Constraint
 i is the i-th mask gathered; inc[x] has bit i set iff residue x lies in
@@ -35,9 +37,13 @@ inc[y] for each of its free members y.
 The layer-union search counts v down from 2^n - 1: with L_i on bit n - i,
 the union of the layers L_1..L_n picked by the bits of v has exactly v
 residues, so the first cube-free union is a largest one.  Unions holding
-L_{n+1} = {0} contain every cube and are never tested.  Each union is
-analysed with the detection engine in the smallest group containing its
-top layer, so sweeps share the detection memo.
+L_{n+1} = {0} contain every cube and are never tested.  A union whose top
+layer is L_t has the same cubes in every Z_{2^m} with m >= t: reduction
+modulo 2^t maps layers onto layers and cubes onto cubes, and lifting the
+generators back keeps the layer of every subset sum.  So each union is
+tested in Z_{2^t}, which keeps deep exhaustions cheap and lets sweeps over
+every n share the detection memo, and the winner is lifted to Z_{2^n} by
+repeating it every 2^t residues.
 
 No external solver is embedded: LP and DIMACS models are emitted as text,
 and a separate validator re-checks solver output against the actual
@@ -52,9 +58,9 @@ from typing import Callable, Iterator, Sequence
 
 from .construction import construction_layers, layered_construction
 from .counting import count_schur_triples
-from .detection import find_cube, find_degenerate_3cube, is_cube_free, max_cube_dimension
+from .detection import find_cube, find_degenerate_3cube, is_cube_free
 from .errors import CapacityError, comb_within_budget
-from .groups import GroupContext, ResidueSet, _layer_masks, mask_members, shift_mask
+from .groups import GroupContext, ResidueSet, _layer_masks, _periodic, mask_members, shift_mask
 from .sumsets import cube_mask
 
 DEFAULT_ENUM_BUDGET = 5_000_000
@@ -81,21 +87,20 @@ def _holds_subset(node: dict, m: int) -> bool:
     return False
 
 
-def _minimal_unique(masks: list[int], n: int | None = None) -> list[int]:
-    """Drop duplicate masks and masks that contain another; masks are nonzero.
+def _minimal_unique(masks: list[int], n: int) -> list[int]:
+    """The minimal members of a family of nonzero masks closed under odd scaling in Z_{2^n}.
 
-    Kept masks, in (bit count, value) order, are set-trie paths of their bits,
-    lowest first, to a True leaf; as an antichain, no path prefixes another.
-    Given n, masks must meet every odd-scaling orbit of the family they stand
-    for in Z_{2^n}, and each one kept brings its whole orbit in.
+    ``masks`` must meet every orbit of the family; each one kept brings its
+    whole orbit in.  Kept masks, in (bit count, value) order, are set-trie
+    paths of their bits, lowest first, to a True leaf; as an antichain, no
+    path prefixes another.
     """
     kept: set[int] = set()
     root: dict = {}
     for m in sorted(set(masks), key=lambda c: (c.bit_count(), c)):
         if m in kept or _holds_subset(root, m):
             continue
-        orbit = (m,) if n is None else {m, *_odd_scalings(list(mask_members(m)), n)}
-        for image in orbit:
+        for image in {m, *_odd_scalings(list(mask_members(m)), n)}:
             kept.add(image)
             node, rest = root, image
             while rest & (rest - 1):
@@ -139,30 +144,36 @@ def _check_degenerate_space(size: int, budget: int | None) -> None:
 
 
 def degenerate_3cube_masks(ctx: GroupContext, budget: int | None = None) -> list[int]:
-    """Masks of the restricted 3-cube families {x,x,x} and {x,3x,y}.
+    """Minimal masks of the restricted 3-cube families {x,x,x} and {x,3x,y}.
 
     Raises CapacityError, before any mask is built, when the 2^n (2^n + 1)
-    patterns exceed the budget.
+    patterns, not only the orbit representatives folded, exceed the budget.
     """
     size = ctx.modulus
     _check_degenerate_space(size, DEFAULT_ENUM_BUDGET if budget is None else budget)
     masks = []
-    for x in range(size):
+    for x in (0, *(1 << v for v in range(ctx.n))):
         masks.append(cube_mask((x, x, x), ctx))
-    for x in range(size):
         for y in range(size):
             masks.append(cube_mask((x, 3 * x % size, y), ctx))
-    return _minimal_unique(masks)
+    return _minimal_unique(masks, ctx.n)
+
+
+def _is_degenerate_family(d: int, patterns: str) -> bool:
+    """True for the "degenerate" pattern family, False for "all"; ValueError for anything else."""
+    if patterns == "all":
+        return False
+    if patterns != "degenerate":
+        raise ValueError(f"unknown pattern family {patterns!r}")
+    if d != 3:
+        raise ValueError("the degenerate pattern family is defined for d = 3")
+    return True
 
 
 def _pattern_masks(ctx: GroupContext, d: int, patterns: str, budget: int | None) -> list[int]:
-    if patterns == "all":
-        return cube_constraint_masks(ctx, d, budget)
-    if patterns == "degenerate":
-        if d != 3:
-            raise ValueError("the degenerate pattern family is defined for d = 3")
+    if _is_degenerate_family(d, patterns):
         return degenerate_3cube_masks(ctx, budget)
-    raise ValueError(f"unknown pattern family {patterns!r}")
+    return cube_constraint_masks(ctx, d, budget)
 
 
 def _bnb_max(
@@ -172,24 +183,23 @@ def _bnb_max(
     start_mask: int,
     forced_in: int,
     node_budget: int,
-    separate: Callable[[int], list[int]] | None = None,
+    separate: Callable[[int], list[int]],
 ) -> tuple[int, int, int]:
     """Branch-and-bound maximization of |A| subject to containing no mask.
 
-    Constraint i is masks[i].  Without ``separate``, masks is the whole
-    family, in (bit count, value) order as ``_minimal_unique`` returns it,
-    and the branching and packing rules read that order.  With
-    ``separate``, masks may start empty and the family is learnt as the
-    search goes: ``separate(cand)`` returns [] when cand holds no member of
-    the family, and otherwise members of it, the first one inside cand;
+    Constraint i is masks[i], and the branching and packing rules read the
+    list's order.  The family is learnt as the search goes, on top of any
+    masks passed in: ``separate(cand)`` returns [] when cand holds no member
+    of the family, and otherwise members of it, the first one inside cand;
     those not yet in masks are appended to it.  It is asked wherever the
     greedy packing does not prune, on the residues neither excluded nor
     used by the packing, and each first mask it returns adds one to the
-    packing.  (start_val, start_mask) must be feasible; forced_in elements
-    may never be excluded (callers establish that this loses no optimum).
-    Returns (best value, a best mask, nodes visited).  Bits are cleared as
-    ``b ^ (b & hit)``: ``b & ~hit`` first builds a negative int, five times
-    slower on 27k-bit ints.
+    packing.  A whole family passed in, with a ``separate`` that finds
+    nothing, is searched as it stands.  (start_val, start_mask) must be
+    feasible; forced_in elements may never be excluded (callers establish
+    that this loses no optimum).  Returns (best value, a best mask, nodes
+    visited).  Bits are cleared as ``b ^ (b & hit)``: ``b & ~hit`` first
+    builds a negative int, five times slower on 27k-bit ints.
     """
     full = (1 << size) - 1
     inc = [0] * size
@@ -250,26 +260,25 @@ def _bnb_max(
                 low = rest & -rest
                 rest ^= low
                 unblocked ^= unblocked & inc[low.bit_length() - 1]
-        if separate is not None:
-            # a constraint found apart from the packing's free members needs
-            # one more exclusion
-            while found := separate(full & ~excluded & ~used):
-                base = len(masks)
-                for c in found:
-                    if c not in held:
-                        held.add(c)
-                        masks.append(c)
-                index_from(base)
-                rest = found[0] & ~forbidden
-                packing += 1
-                if not rest or packing > limit:
-                    return
-                used |= rest
-            seen = catch_up(excluded, forbidden, buckets, seen)
-            if buckets[0]:
+        # a constraint found apart from the packing's free members needs one
+        # more exclusion
+        while found := separate(full & ~excluded & ~used):
+            base = len(masks)
+            for c in found:
+                if c not in held:
+                    held.add(c)
+                    masks.append(c)
+            index_from(base)
+            rest = found[0] & ~forbidden
+            packing += 1
+            if not rest or packing > limit:
                 return
-            for b in buckets:
-                alive |= b
+            used |= rest
+        seen = catch_up(excluded, forbidden, buckets, seen)
+        if buckets[0]:
+            return
+        for b in buckets:
+            alive |= b
         if not alive:
             val = size - exc_count
             if val > best_val:
@@ -350,29 +359,6 @@ def max_cube_free_exact(
     return SearchCertificate("branch_and_bound", val, witness, explored, len(masks))
 
 
-def union_max_dimension(layer_indices: tuple[int, ...], ctx: GroupContext, cap: int) -> int:
-    """Capped max cube dimension of a union of layers, given by indices.
-
-    A union whose top layer is L_t looks the same in every group with
-    n >= t: reduction modulo 2^m maps layers onto layers and cubes onto
-    cubes, and lifting generators back also preserves the layer membership
-    of every subset sum.  The analysis therefore runs in the smallest group
-    containing the union, which keeps deep exhaustions cheap and lets all
-    group sizes share one memo.
-    """
-    if not layer_indices:
-        return 0
-    if ctx.n + 1 in layer_indices:
-        return cap  # 0 belongs to the union, which contains every cube dimension
-    top = max(layer_indices)
-    eff = GroupContext(top) if top < ctx.n else ctx
-    masks = _layer_masks(ctx.n)  # below 2^top, the layers of Z_{2^n} are those of Z_{2^top}
-    umask = 0
-    for i in layer_indices:
-        umask |= masks[i - 1]
-    return max_cube_dimension(ResidueSet(eff, umask & eff.full_mask), cap)
-
-
 def max_cube_free_layer_unions(ctx: GroupContext, d: int,
                                budget: int | None = None) -> SearchCertificate:
     """Largest d-cube-free union of layers; ``explored`` counts the unions tested.
@@ -382,18 +368,26 @@ def max_cube_free_layer_unions(ctx: GroupContext, d: int,
     if not 1 <= d <= ctx.n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={ctx.n}")
     n = ctx.n
-    for v in range((1 << n) - 1, -1, -1):
-        if budget is not None and (1 << n) - v > budget:
-            raise CapacityError(f"layer-union sweep exceeded the budget of {budget} unions",
-                                1 << n)
-        indices = tuple(i for i in range(1, n + 1) if v >> (n - i) & 1)
-        if union_max_dimension(indices, ctx, d) < d:
-            masks = _layer_masks(n)
-            umask = 0
-            for i in indices:
-                umask |= masks[i - 1]
-            return SearchCertificate("layer_unions", v, ResidueSet(ctx, umask), (1 << n) - v)
-    raise AssertionError("the empty union is always cube-free")  # pragma: no cover
+    layers = _layer_masks(n)
+    # entry p: Z_{2^(n-p)}, the group of unions whose top layer sits on bit p of v;
+    # v = 0, the empty union, takes the last entry
+    tops = [GroupContext(n - p) for p in range(n)]
+    lowest = 0 if budget is None else max(0, (1 << n) - budget)
+    for v in range((1 << n) - 1, lowest - 1, -1):
+        umask, rest = 0, v
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            umask |= layers[n - low.bit_length()]
+        # below 2^t, the layers of Z_{2^n} are those of Z_{2^t}
+        top = tops[(v & -v).bit_length() - 1]
+        union = ResidueSet(top, umask & top.full_mask)
+        if is_cube_free(union, d):
+            return SearchCertificate("layer_unions", v,
+                                     ResidueSet(ctx, _periodic(union.mask, top.modulus, n)),
+                                     (1 << n) - v)
+    # the empty union, v = 0, is cube-free, so only a budget ends the loop here
+    raise CapacityError(f"layer-union sweep exceeded the budget of {budget} unions", 1 << n)
 
 
 def _odd_scalings(members: Sequence[int], n: int) -> Iterator[int]:
@@ -430,6 +424,8 @@ def min_schur_exhaustive(
         raise ValueError(f"cardinality {m} outside [0, {size}]")
     budget = DEFAULT_COMBO_BUDGET if combo_budget is None else combo_budget
     comb_within_budget(size, m, budget, f"subsets of size {m}")
+    # the first combination, {0, ..., m - 1}, has the least mask of its size,
+    # so it is canonical and sets best
     best = None
     best_mask = 0
     explored = 0
@@ -446,8 +442,6 @@ def min_schur_exhaustive(
             best_mask = mask
             if best == 0:
                 break
-    if best is None:  # m == 0 handled by the loop's single empty combination
-        best, best_mask = 0, 0
     witness = ResidueSet(ctx, best_mask)
     if count_schur_triples(witness) != best:
         raise AssertionError("minimizer failed re-verification")
@@ -582,13 +576,9 @@ def validate_assignment(ctx: GroupContext, d: int, assignment: dict[int, float] 
     selected = [v for v, val in assignment.items()
                 if 0 <= v < ctx.modulus and val > 0.5]
     A = ResidueSet.from_members(ctx, selected)
-    if patterns == "all":
-        feasible = is_cube_free(A, d)
-    elif patterns == "degenerate":
-        if d != 3:
-            raise ValueError("the degenerate pattern family is defined for d = 3")
+    if _is_degenerate_family(d, patterns):
         _check_degenerate_space(ctx.modulus, budget)
         feasible = find_degenerate_3cube(A) is None
     else:
-        raise ValueError(f"unknown pattern family {patterns!r}")
+        feasible = is_cube_free(A, d)
     return {"feasible": feasible, "objective": len(A), "selected": A.members()}

@@ -1,4 +1,5 @@
 import random
+from functools import partial
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubefree.construction import construction_size
-from cubefree.detection import is_cube_free
+from cubefree.detection import is_cube_free, max_cube_dimension
 from cubefree.errors import CapacityError
 from cubefree.groups import MAX_N, GroupContext, ResidueSet, _layer_masks, centred_set
 from cubefree.counting import count_schur_triples
@@ -22,9 +23,13 @@ from cubefree.search import (
     max_cube_free_layer_unions,
     min_schur_exhaustive,
     parse_assignment,
-    union_max_dimension,
     validate_assignment,
 )
+
+
+def find_nothing(cand):
+    """The separator for a family passed to ``_bnb_max`` whole: no mask is left to find."""
+    return []
 
 
 def brute_force_max_cube_free(n, d):
@@ -123,7 +128,8 @@ def test_lazy_search_matches_enumerated_family(n, d):
     # the exact search gathers its cubes from find_cube; the enumerated
     # minimal family, searched with no incumbent, is the independent oracle
     ctx = GroupContext(n)
-    optimum, _, _ = _bnb_max(ctx.modulus, cube_constraint_masks(ctx, d), 0, 0, 0, 10**7)
+    optimum, _, _ = _bnb_max(ctx.modulus, cube_constraint_masks(ctx, d), 0, 0, 0, 10**7,
+                             find_nothing)
     for symmetry in (False, True):
         cert = max_cube_free_exact(ctx, d, symmetry=symmetry)
         assert cert.optimum == optimum
@@ -228,12 +234,13 @@ def brute_force_max_avoiding(size, masks, forced_in):
 def test_bitset_branch_and_bound_matches_list_walk(family):
     size, masks, forced_in, start = family
     args = (size, masks, start.bit_count(), start, forced_in)
-    val, mask, nodes = _bnb_max(*args, node_budget=10**6)
+    bnb_max = partial(_bnb_max, separate=find_nothing)
+    val, mask, nodes = bnb_max(*args, node_budget=10**6)
     assert (val, mask, nodes) == reference_bnb_max(*args, node_budget=10**6)
     assert mask.bit_count() == val and all(c & ~mask for c in masks)
     if size <= 12:
         assert val == max(start.bit_count(), brute_force_max_avoiding(size, masks, forced_in))
-    for search in (_bnb_max, reference_bnb_max):
+    for search in (bnb_max, reference_bnb_max):
         with pytest.raises(CapacityError, match=f"node budget of {nodes - 1}$"):
             search(*args, node_budget=nodes - 1)
 
@@ -254,10 +261,10 @@ def test_exact_budget_errors():
         max_cube_free_exact(GroupContext(3), 3, budget=10)
     ctx = GroupContext(4)
     masks = cube_constraint_masks(ctx, 3)
-    best, _, nodes = _bnb_max(ctx.modulus, masks, 0, 0, 0, node_budget=10**6)
+    best, _, nodes = _bnb_max(ctx.modulus, masks, 0, 0, 0, 10**6, find_nothing)
     assert best == 10 and nodes > 5
     with pytest.raises(CapacityError, match="node budget of 5"):
-        _bnb_max(ctx.modulus, masks, 0, 0, 0, node_budget=5)
+        _bnb_max(ctx.modulus, masks, 0, 0, 0, 5, find_nothing)
 
 
 def test_layer_union_certificates():
@@ -306,11 +313,15 @@ def test_layer_union_sweep_matches_sorted_table():
                                         if n + 1 not in indices)
 
 
-def test_union_max_dimension_independent_of_n():
-    for indices in [(1,), (1, 3), (2, 3), (1, 2, 4)]:
-        values = {union_max_dimension(indices, GroupContext(n), 10)
-                  for n in range(max(indices), max(indices) + 3)}
-        assert len(values) == 1
+def test_layer_union_cubes_independent_of_n():
+    # the sweep's premise: a union whose top layer is L_t has the same cube
+    # dimension in every Z_{2^n} with n >= t as in Z_{2^t}
+    for indices in [(1,), (1, 3), (2, 3), (1, 2, 4), (2, 4), (1, 2, 3, 4), (3, 5), (1, 4, 5)]:
+        top = max(indices)
+        values = [max_cube_dimension(
+                      ResidueSet(GroupContext(n), sum(_layer_masks(n)[i - 1] for i in indices)), 10)
+                  for n in range(top, top + 3)]
+        assert values == [values[0]] * 3
 
 
 def test_min_schur_values():
@@ -339,6 +350,17 @@ def test_min_schur_symmetry_agrees():
              for combo in combinations(range(16), 9)}
     assert (reduced.optimum, reduced.explored) == (24, len(least)) == (24, 1533)
     assert min_schur_exhaustive(GroupContext(3), 5, symmetry=True).explored == 20
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("symmetry", [False, True])
+def test_min_schur_at_the_empty_set_and_the_whole_group(n, symmetry):
+    # one subset of each size: the empty one has no triple, the whole group
+    # one for each of the 4^n ordered pairs
+    ctx = GroupContext(n)
+    for m, optimum in ((0, 0), (ctx.modulus, 4 ** n)):
+        cert = min_schur_exhaustive(ctx, m, symmetry=symmetry)
+        assert (cert.optimum, cert.explored, len(cert.witness)) == (optimum, 1, m)
 
 
 def parse_lp_constraints(text):
@@ -383,18 +405,29 @@ def test_degenerate_pattern_masks():
         export_lp(ctx, 2, patterns="degenerate")
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_degenerate_orbit_representatives_match_full_fold(n):
+    # the patterns folded for x in {0} and the powers 2^v only, against all
+    # 2^n (2^n + 1) of them
+    ctx = GroupContext(n)
+    size = ctx.modulus
+    everything = [cube_mask((x, x, x), ctx) for x in range(size)]
+    everything += [cube_mask((x, 3 * x % size, y), ctx) for x in range(size) for y in range(size)]
+    assert len(everything) == size * (size + 1)
+    assert degenerate_3cube_masks(ctx) == all_pairs_minimal(everything)
+
+
 def test_degenerate_pattern_optimum_matches_conjectured_value():
     # the largest set avoiding just the two special 3-cube shapes already
     # tops out at 5/8 of the group, so any larger set contains one of them
     from cubefree.construction import layered_construction
-    from cubefree.search import _bnb_max
     for n in range(3, 7):
         ctx = GroupContext(n)
         masks = degenerate_3cube_masks(ctx)
         seed = layered_construction(3, ctx)
         assert all(c & ~seed.mask for c in masks)
         val, mask, nodes = _bnb_max(ctx.modulus, masks, len(seed), seed.mask,
-                                    1 << 1, 10 ** 8)
+                                    1 << 1, 10 ** 8, find_nothing)
         assert val == 5 * (1 << n) // 8
     # the LP form of the same model agrees by brute force at n = 3
     assert lp_brute_force_optimum(
@@ -420,6 +453,21 @@ def test_degenerate_export_at_desk_scale():
     rows = sum(1 for line in text.splitlines() if line.strip().startswith("cube"))
     assert rows > 100
     assert text.endswith("End\n")
+
+
+@pytest.mark.parametrize("d, patterns, message", [
+    (2, "degenerate", "the degenerate pattern family is defined for d = 3"),
+    (4, "degenerate", "the degenerate pattern family is defined for d = 3"),
+    (3, "cubes", "unknown pattern family 'cubes'"),
+])
+def test_validation_rejects_pattern_families_as_the_exports_do(d, patterns, message):
+    ctx = GroupContext(3)
+    for call in (partial(export_lp, ctx, d, patterns=patterns),
+                 partial(export_cnf, ctx, d, 5, patterns=patterns),
+                 partial(validate_assignment, ctx, d, {1: 1.0}, patterns=patterns)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_cnf_satisfiability_matches_search():
@@ -506,13 +554,15 @@ def all_pairs_minimal(masks):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.frozensets(st.integers(0, 39), min_size=1, max_size=30)
+@given(st.lists(st.frozensets(st.integers(0, 31), min_size=1, max_size=30)
                 .map(lambda bits: sum(1 << b for b in bits)), min_size=1, max_size=30))
-@example([0b111, 0b111, 0b1111, (1 << 40) - 1, (1 << 13) - 1, 1 << 39])
+@example([0b111, 0b111, 0b1111, (1 << 32) - 1, (1 << 13) - 1, 1 << 31])
 def test_minimal_unique_matches_all_pairs_scan(masks):
-    # neighbour unions contain both neighbours, and every other mask repeats
+    # neighbour unions contain both neighbours, and every other mask repeats;
+    # the filter is given these, the reference their whole orbits in Z_{2^5}
     family = masks + [a | b for a, b in zip(masks, masks[1:])] + masks[::2]
-    assert _minimal_unique(family) == all_pairs_minimal(family)
+    closure = [odd_scaling(m, lam, 32) for m in family for lam in range(1, 32, 2)]
+    assert _minimal_unique(family, 5) == all_pairs_minimal(closure)
 
 
 def plain_constraint_masks(ctx, d):
@@ -528,7 +578,7 @@ def test_orbit_enumeration_matches_full_enumeration(n, d):
     size = ctx.modulus
     masks = cube_constraint_masks(ctx, d)
     everything = plain_constraint_masks(ctx, d)
-    assert masks == _minimal_unique(everything)
+    assert masks == _minimal_unique(everything, n)
     if n <= 3:
         assert masks == all_pairs_minimal(everything)
     kept = set(masks)
