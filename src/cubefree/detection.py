@@ -66,7 +66,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import CapacityError
-from .groups import GeneratorMultiset, ResidueSet, _halve_even, _layer_tables
+from .groups import GeneratorMultiset, ResidueSet, _halve_even, _layer_tables, mask_members
 from .sumsets import projective_cube
 
 
@@ -263,40 +263,36 @@ def find_cube(A: ResidueSet, d: int) -> CubeWitness | None:
     return CubeWitness.build(GeneratorMultiset.of(ctx, tuple(generators)), A)
 
 
-def _run_masks(n: int, m: int) -> Iterator[int]:
-    """For each x in turn, the mask of {x, 2x, ..., m*x} modulo 2^n."""
-    size = 1 << n
-    for x in range(size):
-        mask = 0
-        for i in range(1, m + 1):
-            mask |= 1 << (i * x % size)
-        yield mask
+def _runs(amask: int, size: int, m: int) -> Iterator[int]:
+    """Each x, ascending, whose run {x, 2x, ..., m*x} modulo size lies inside the set amask.
+
+    x is in its own run, so only members are tried, each with m - 1 bit tests.
+    """
+    for x in mask_members(amask):
+        for i in range(2, m + 1):
+            if not amask >> (i * x % size) & 1:
+                break
+        else:
+            yield x
 
 
 def find_multiple_run(A: ResidueSet, m: int) -> int | None:
     """Smallest x (0 allowed) with {x, 2x, ..., m*x} inside A, or None."""
     if m < 1:
         raise ValueError(f"run length must be positive, got {m}")
-    amask = A.mask
-    for x, run in enumerate(_run_masks(A.ctx.n, m)):
-        if run & ~amask == 0:
-            return x
-    return None
+    return next(_runs(A.mask, A.ctx.modulus, m), None)
 
 
 def find_homogeneous_cube(A: ResidueSet, ell: int) -> tuple[int, int] | None:
     """A pair (x, y) whose 2^ell-cube {x,...,(2^ell-1)x} | {y,...,y+(2^ell-1)x} sits in A."""
     if ell < 1:
         raise ValueError(f"ell must be positive, got {ell}")
-    ctx = A.ctx
-    size = ctx.modulus
+    size = A.ctx.modulus
     amask = A.mask
     # bit y < 2^n of doubled >> c is set iff y + c (mod 2^n) lies in A
     doubled = amask | amask << size
     r = (1 << ell) - 1
-    for x, run in enumerate(_run_masks(ctx.n, r)):
-        if run & ~amask:
-            continue
+    for x in _runs(amask, size, r):
         inter = amask
         for i in range(1, r + 1):
             inter &= doubled >> (i * x % size)
@@ -317,9 +313,8 @@ def find_degenerate_3cube(A: ResidueSet) -> CubeWitness | None:
     if x is not None:
         return CubeWitness.build(GeneratorMultiset.of(ctx, (x, x, x)), A)
     doubled = amask | amask << size
-    for x in range(size):
-        base = (1 << x) | (1 << (3 * x % size)) | (1 << (4 * x % size))
-        if base & ~amask:
+    for x in mask_members(amask):
+        if not (amask >> (3 * x % size) & 1 and amask >> (4 * x % size) & 1):
             continue
         inter = amask
         for c in (x, 3 * x, 4 * x):

@@ -30,9 +30,11 @@ bucket; forcing x in moves the bucket-k bits of inc[x] down to bucket k - 1;
 a node is dead once bucket 0 is nonempty.  A constraint gathered below a
 node joins its buckets when the node next looks, unless it holds an
 excluded residue.  The branch constraint is the lowest index in the lowest
-nonempty bucket.  The packing takes the lowest unblocked open index and
-blocks every constraint that shares a free member with it, by clearing
-inc[y] for each of its free members y.
+nonempty bucket.  The packing walks the buckets up from bucket 1 and, in
+each, takes the lowest unblocked index, so it prefers constraints with the
+fewest free members: each one taken blocks every constraint that shares a
+free member with it, by clearing inc[y] for each of its free members y, and
+a small one blocks few.
 
 The layer-union search counts v down from 2^n - 1: with L_i on bit n - i,
 the union of the layers L_1..L_n picked by the bits of v has exactly v
@@ -187,19 +189,22 @@ def _bnb_max(
 ) -> tuple[int, int, int]:
     """Branch-and-bound maximization of |A| subject to containing no mask.
 
-    Constraint i is masks[i], and the branching and packing rules read the
-    list's order.  The family is learnt as the search goes, on top of any
-    masks passed in: ``separate(cand)`` returns [] when cand holds no member
-    of the family, and otherwise members of it, the first one inside cand;
-    those not yet in masks are appended to it.  It is asked wherever the
-    greedy packing does not prune, on the residues neither excluded nor
-    used by the packing, and each first mask it returns adds one to the
-    packing.  A whole family passed in, with a ``separate`` that finds
-    nothing, is searched as it stands.  (start_val, start_mask) must be
-    feasible; forced_in elements may never be excluded (callers establish
-    that this loses no optimum).  Returns (best value, a best mask, nodes
-    visited).  Bits are cleared as ``b ^ (b & hit)``: ``b & ~hit`` first
-    builds a negative int, five times slower on 27k-bit ints.
+    Constraint i is masks[i].  The branch constraint is the lowest index
+    among the open constraints with the fewest free members (those not
+    forced in); the greedy packing takes them in the same (free count,
+    index) order, skipping any that shares a free member with one taken.
+    The family is learnt as the search goes, on top of any masks passed
+    in: ``separate(cand)`` returns [] when cand holds no member of the
+    family, and otherwise members of it, the first one inside cand; those
+    not yet in masks are appended to it.  It is asked wherever the greedy
+    packing does not prune, on the residues neither excluded nor used by
+    the packing, and each first mask it returns adds one to the packing.
+    A whole family passed in, with a ``separate`` that finds nothing, is
+    searched as it stands.  (start_val, start_mask) must be feasible;
+    forced_in elements may never be excluded (callers establish that this
+    loses no optimum).  Returns (best value, a best mask, nodes visited).
+    Bits are cleared as ``b ^ (b & hit)``: ``b & ~hit`` first builds a
+    negative int, five times slower on 27k-bit ints.
     """
     full = (1 << size) - 1
     inc = [0] * size
@@ -245,21 +250,25 @@ def _bnb_max(
         alive = 0
         for b in buckets:
             alive |= b
-        # greedy packing of free-disjoint constraints, lowest index first:
-        # each needs its own exclusion
+        # greedy packing of free-disjoint constraints, fewest free members
+        # first, then lowest index: each needs its own exclusion
         packing = exc_count
         unblocked = alive
         used = 0
-        while unblocked:
-            packing += 1
-            if packing > limit:
-                return
-            rest = masks[(unblocked & -unblocked).bit_length() - 1] & ~forbidden
-            used |= rest
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                unblocked ^= unblocked & inc[low.bit_length() - 1]
+        for k in range(1, len(buckets)):
+            walk = buckets[k] & unblocked
+            while walk:
+                packing += 1
+                if packing > limit:
+                    return
+                rest = masks[(walk & -walk).bit_length() - 1] & ~forbidden
+                used |= rest
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    hit = inc[low.bit_length() - 1]
+                    unblocked ^= unblocked & hit
+                    walk ^= walk & hit
         # a constraint found apart from the packing's free members needs one
         # more exclusion
         while found := separate(full & ~excluded & ~used):

@@ -156,7 +156,7 @@ def test_max_search_reports_gathered_constraints():
     # the exact search reports the cube masks it asked find_cube for, orbits included
     code, report = run_cli("max-search", "--n", "5", "--d", "4", "--symmetry")
     assert code == 0
-    assert [report.result[key] for key in ("optimum", "explored", "constraints")] == [24, 36, 129]
+    assert [report.result[key] for key in ("optimum", "explored", "constraints")] == [24, 30, 105]
     code, report = run_cli("max-search", "--n", "4", "--d", "2", "--mode", "layers")
     assert code == 0 and "constraints" not in report.result
 

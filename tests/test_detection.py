@@ -554,10 +554,65 @@ def test_one_shot_memo_is_pinned(rng):
     assert (len(detection._exact), len(detection._atleast)) == (610, 83)
 
 
-def test_run_masks_are_built_as_read():
-    # Z_{2^21} has 2^21 runs of 2^21 bits each (2^42 bits), so each mask is
-    # built only when it is read
-    wide = detection._run_masks(groups.MAX_N, 3)
-    assert [next(wide) for _ in range(3)] == [1, 0b1110, 0b1010100]
+def test_runs_are_walked_over_members():
     A = ResidueSet.from_members(GroupContext(11), [5, 10, 15, 2000])
     assert find_multiple_run(A, 3) == 5 and find_multiple_run(A, 4) is None
+    # Z_{2^21} has 2^21 residues of 2^21 bits each; a sparse set is walked
+    # over its few members, not over every residue
+    ctx = GroupContext(groups.MAX_N)
+    top = ctx.modulus - 1
+    A = ResidueSet.from_members(ctx, [top, 2 * top % ctx.modulus, 6, 9, 12, 3 << 19])
+    assert find_multiple_run(A, 2) == 6 and find_multiple_run(A, 3) is None
+    assert find_homogeneous_cube(A, 1) == (6, 6)
+    assert find_degenerate_3cube(A) is None
+
+
+def naive_runs(amask, size, m):
+    """Every x in range(size), ascending, with {x, 2x, ..., m*x} inside amask."""
+    return [x for x in range(size) if all(amask >> (i * x % size) & 1 for i in range(1, m + 1))]
+
+
+def naive_translate(amask, size, steps):
+    """The smallest y with y + c inside amask for every c in steps, or None."""
+    return next((y for y in range(size)
+                 if all(amask >> ((y + c) % size) & 1 for c in steps)), None)
+
+
+@st.composite
+def sets_with_runs(draw):
+    """(ctx, a set of Z_{2^n}, n <= 6), dense one time in two so that long runs occur."""
+    ctx = GroupContext(draw(st.integers(1, 6)))
+    mask = draw(st.integers(0, ctx.full_mask))
+    if draw(st.booleans()):
+        mask |= draw(st.integers(0, ctx.full_mask))
+    return ctx, mask
+
+
+@settings(max_examples=300, deadline=None)
+@given(sets_with_runs(), st.integers(1, 8), st.integers(1, 3))
+def test_run_finders_match_a_walk_over_every_residue(case, m, ell):
+    ctx, amask = case
+    size = ctx.modulus
+    A = ResidueSet(ctx, amask)
+    assert find_multiple_run(A, m) == next(iter(naive_runs(amask, size, m)), None)
+    r = (1 << ell) - 1
+    want = None
+    for x in naive_runs(amask, size, r):
+        y = naive_translate(amask, size, [i * x for i in range(r + 1)])
+        if y is not None:
+            want = (x, y)
+            break
+    assert find_homogeneous_cube(A, ell) == want
+    runs = naive_runs(amask, size, 3)
+    if runs:
+        want = (runs[0],) * 3
+    else:
+        want = None
+        for x in range(size):
+            if all(amask >> (c % size) & 1 for c in (x, 3 * x, 4 * x)):
+                y = naive_translate(amask, size, [0, x, 3 * x, 4 * x])
+                if y is not None:
+                    want = GeneratorMultiset.of(ctx, (x, 3 * x, y)).elements
+                    break
+    witness = find_degenerate_3cube(A)
+    assert (witness and witness.generators.elements) == want

@@ -167,7 +167,8 @@ def reference_bnb_max(size, masks, start_val, start_mask, forced_in, node_budget
         used = 0
         branch = None
         branch_pc = size + 1
-        for c in alive:
+        # the packing takes constraints by fewest free members, then by index
+        for c in sorted(alive, key=lambda c: (c & ~forbidden).bit_count()):
             cf = c & ~forbidden
             if cf == 0:
                 return  # some cube can no longer be broken
@@ -249,11 +250,22 @@ def test_search_trees_are_pinned():
     # the optimum, and the node count that shows the tree is walked unchanged;
     # the cubes are gathered lazily, and a partial pool prunes less than the
     # whole minimal family would
-    for n, symmetry, optimum, explored in ((6, True, 40, 2714), (5, False, 20, 142),
-                                           (5, True, 20, 82)):
+    for n, symmetry, optimum, explored in ((6, True, 40, 1428), (5, False, 20, 113),
+                                           (5, True, 20, 85)):
         cert = max_cube_free_exact(GroupContext(n), 3, symmetry=symmetry)
         assert (cert.optimum, cert.explored) == (optimum, explored)
         assert len(cert.witness) == optimum and is_cube_free(cert.witness, 3)
+
+
+@pytest.mark.slow
+def test_seven_three_optimum_is_the_construction():
+    # d = 3 is no power of two, so the paper leaves this optimum open; the
+    # fewest-free-first packing certifies it in about 200 s
+    ctx = GroupContext(7)
+    cert = max_cube_free_exact(ctx, 3, symmetry=True, budget=400_000)
+    assert (cert.optimum, cert.explored) == (construction_size(3, ctx), 227_663)
+    assert cert.optimum == 80
+    assert len(cert.witness) == 80 and is_cube_free(cert.witness, 3)
 
 
 def test_exact_budget_errors():
