@@ -39,13 +39,19 @@ a small one blocks few.
 The layer-union search counts v down from 2^n - 1: with L_i on bit n - i,
 the union of the layers L_1..L_n picked by the bits of v has exactly v
 residues, so the first cube-free union is a largest one.  Unions holding
-L_{n+1} = {0} contain every cube and are never tested.  A union whose top
-layer is L_t has the same cubes in every Z_{2^m} with m >= t: reduction
-modulo 2^t maps layers onto layers and cubes onto cubes, and lifting the
-generators back keeps the layer of every subset sum.  So each union is
-tested in Z_{2^t}, which keeps deep exhaustions cheap and lets sweeps over
-every n share the detection memo, and the winner is lifted to Z_{2^n} by
-repeating it every 2^t residues.
+L_{n+1} = {0} contain every cube and are never tested.  Each union is read
+off its word P, v reversed over n bits: bit i - 1 is set iff L_i, the
+residues of valuation i - 1, is in the union.  For a run of r valuations
+s..s+r-1 present, 2^r - 1 copies of 2^s keep every subset sum in the run,
+and a sum over several runs takes the valuation of its lowest run; so the
+union holds a cube of dimension the sum of 2^r - 1 over its runs, and holds
+a d-cube if that is at least d.  It is d-cube-free if min(v,
+detection._word_cap(P)), the size and layer-gap caps, is below d.  For
+every d <= n <= 16 the word decides every union the sweep walks.  A union
+it leaves open goes to detection.  If its top layer is L_t, it has the
+same cubes in every Z_{2^m} with m >= t: reduction modulo 2^t maps layers
+onto layers and cubes onto cubes, and lifting the generators back keeps
+the layer of every subset sum.  So it is tested in Z_{2^t}.
 
 No external solver is embedded: LP and DIMACS models are emitted as text,
 and a separate validator re-checks solver output against the actual
@@ -60,9 +66,9 @@ from typing import Callable, Iterator, Sequence
 
 from .construction import construction_layers, layered_construction
 from .counting import count_schur_triples
-from .detection import find_cube, find_degenerate_3cube, is_cube_free
+from .detection import _word_cap, find_cube, find_degenerate_3cube, is_cube_free
 from .errors import CapacityError, comb_within_budget
-from .groups import GroupContext, ResidueSet, _layer_masks, _periodic, mask_members, shift_mask
+from .groups import GroupContext, ResidueSet, _layer_masks, mask_members, shift_mask
 from .sumsets import cube_mask
 
 DEFAULT_ENUM_BUDGET = 5_000_000
@@ -368,6 +374,20 @@ def max_cube_free_exact(
     return SearchCertificate("branch_and_bound", val, witness, explored, len(masks))
 
 
+def _run_dimension(word: int) -> int:
+    """Dimension of the greedy cube in a union whose valuations present are the bits of ``word``.
+
+    Each run of r valuations s..s+r-1 present gives 2^r - 1 copies of 2^s.
+    """
+    dim, rest = 0, word
+    while rest:
+        rest >>= (rest & -rest).bit_length() - 1  # shift the run's start s down to bit 0
+        r = (rest ^ (rest + 1)).bit_length() - 1
+        dim += (1 << r) - 1
+        rest >>= r
+    return dim
+
+
 def max_cube_free_layer_unions(ctx: GroupContext, d: int,
                                budget: int | None = None) -> SearchCertificate:
     """Largest d-cube-free union of layers; ``explored`` counts the unions tested.
@@ -378,23 +398,19 @@ def max_cube_free_layer_unions(ctx: GroupContext, d: int,
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={ctx.n}")
     n = ctx.n
     layers = _layer_masks(n)
-    # entry p: Z_{2^(n-p)}, the group of unions whose top layer sits on bit p of v;
-    # v = 0, the empty union, takes the last entry
-    tops = [GroupContext(n - p) for p in range(n)]
     lowest = 0 if budget is None else max(0, (1 << n) - budget)
     for v in range((1 << n) - 1, lowest - 1, -1):
-        umask, rest = 0, v
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            umask |= layers[n - low.bit_length()]
-        # below 2^t, the layers of Z_{2^n} are those of Z_{2^t}
-        top = tops[(v & -v).bit_length() - 1]
-        union = ResidueSet(top, umask & top.full_mask)
-        if is_cube_free(union, d):
-            return SearchCertificate("layer_unions", v,
-                                     ResidueSet(ctx, _periodic(union.mask, top.modulus, n)),
-                                     (1 << n) - v)
+        word = int(f"{v:0{n}b}"[::-1], 2)  # bit i - 1 for L_i, which sits on bit n - i of v
+        if _run_dimension(word) >= d:
+            continue
+        umask = sum(layers[i] for i in range(n) if word >> i & 1)
+        if min(v, _word_cap(word)) >= d:
+            # left open by the word: tested in Z_{2^t} for its top layer L_t,
+            # whose layers are those of Z_{2^n} below 2^t
+            top = GroupContext(word.bit_length())
+            if not is_cube_free(ResidueSet(top, umask & top.full_mask), d):
+                continue
+        return SearchCertificate("layer_unions", v, ResidueSet(ctx, umask), (1 << n) - v)
     # the empty union, v = 0, is cube-free, so only a budget ends the loop here
     raise CapacityError(f"layer-union sweep exceeded the budget of {budget} unions", 1 << n)
 

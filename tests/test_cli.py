@@ -207,7 +207,7 @@ def test_group_exponent_above_cap_exits_two(capsys):
 
 
 def test_layer_sweep_budget_exits_two():
-    # unbudgeted, this sweep runs for seconds over 6144 unions
+    # unbudgeted, this sweep walks 6144 unions, read off their layer words in milliseconds
     code, report = run_cli("max-search", "--n", "14", "--d", "3", "--mode", "layers",
                            "--budget", "10")
     assert code == 2 and report.status == "budget_exceeded"

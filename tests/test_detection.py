@@ -340,17 +340,29 @@ def _stabilizer_orbits(n, k):
     return orbits
 
 
+def replay_layer_sweep(n, d):
+    """The largest d-cube-free union's v, found by detection alone: is_cube_free
+    on each union of L_1..L_n, in Z_{2^t} for its top layer L_t, from
+    v = 2^n - 1 down (L_i on bit n - i of v), as the layer sweep once walked."""
+    for v in range((1 << n) - 1, -1, -1):
+        indices = [i for i in range(1, n + 1) if v >> (n - i) & 1]
+        t = max(indices, default=1)
+        if is_cube_free(ResidueSet(GroupContext(t), sum(_layer_masks(t)[i - 1] for i in indices)), d):
+            return v
+
+
 def test_memo_bound_keeps_answers(monkeypatch, rng):
     ctx = GroupContext(4)
     queries = [(ResidueSet(ctx, rng.getrandbits(16)), rng.randint(2, 5)) for _ in range(200)]
 
     def answers():
         clear_detection_cache()
+        pairs = [(n, d) for n in range(1, 7) for d in range(1, n + 1)]
         sweeps = [(c.optimum, c.witness.mask, c.explored)
-                  for c in (max_cube_free_layer_unions(GroupContext(n), d)
-                            for n in range(1, 7) for d in range(1, n + 1))]
+                  for c in (max_cube_free_layer_unions(GroupContext(n), d) for n, d in pairs)]
+        replayed = [replay_layer_sweep(n, d) for n, d in pairs]
         found = [w and w.generators.elements for w in (find_cube(A, d) for A, d in queries)]
-        return sweeps, found
+        return sweeps, replayed, found
 
     expected = answers()
     limit, charged = 4096, []
@@ -508,16 +520,21 @@ def test_small_members_of_a_wide_group_need_no_wide_table():
 
 
 def test_wide_groups_share_the_kept_table():
-    # a sweep of Z_{2^12} reads the unions topped by L_11 off the table of Z_{2^12}
+    # L_2 | L_3 | L_11 of Z_{2^12} halves into Z_{2^11}, whose children read
+    # the kept table of Z_{2^12}; the caps leave the root open, so it descends
     groups._layer_tables.clear()
+    clear_detection_cache()
     table = groups._layer_masks(12)
-    assert max_cube_free_layer_unions(GroupContext(12), 2).optimum == 2048
+    union = ResidueSet(GroupContext(12), table[1] | table[2] | table[10])
+    assert not is_cube_free(union, 4) and is_cube_free(union, 5)
+    assert detection._atleast
     assert groups._layer_masks(12) is table and 11 not in groups._layer_tables
 
 
 def test_detection_tree_is_pinned(rng):
-    # the memo after a fixed batch of searches from a cold memo: the layer
-    # sweeps 1 <= d <= n <= 7, which the layer-gap cap closes at their roots
+    # the memo after a fixed batch of searches from a cold memo: the
+    # detection walks of the layer sweeps 1 <= d <= n <= 7, which the
+    # layer-gap cap closes at their roots
     # (they store at-least entries only), then unions of the orbits of the
     # odd lam = 1 (mod 2^k), k >= 2, whose searches store exact entries;
     # a cap return that moved ahead of or behind a memo write changes these.
@@ -527,7 +544,7 @@ def test_detection_tree_is_pinned(rng):
     clear_detection_cache()
     for n in range(1, 8):
         for d in range(1, n + 1):
-            max_cube_free_layer_unions(GroupContext(n), d)
+            replay_layer_sweep(n, d)
     assert (len(detection._exact), len(detection._atleast)) == (0, 196)
     for n in (5, 6):
         for k in range(2, n):

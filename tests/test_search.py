@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubefree.construction import construction_size
-from cubefree.detection import is_cube_free, max_cube_dimension
+from cubefree import search
+from cubefree.detection import _word_cap, is_cube_free, max_cube_dimension
 from cubefree.errors import CapacityError
 from cubefree.groups import MAX_N, GroupContext, ResidueSet, _layer_masks, centred_set
 from cubefree.counting import count_schur_triples
@@ -15,6 +16,7 @@ from cubefree.sumsets import cube_mask
 from cubefree.search import (
     _bnb_max,
     _minimal_unique,
+    _run_dimension,
     cube_constraint_masks,
     degenerate_3cube_masks,
     export_cnf,
@@ -334,6 +336,84 @@ def test_layer_union_cubes_independent_of_n():
                       ResidueSet(GroupContext(n), sum(_layer_masks(n)[i - 1] for i in indices)), 10)
                   for n in range(top, top + 3)]
         assert values == [values[0]] * 3
+
+
+def layer_word_unions(n):
+    """(word, mask) of every union of L_1..L_n in Z_{2^n}; bit i - 1 of the word is L_i."""
+    layers = _layer_masks(n)
+    for word in range(1 << n):
+        yield word, sum(layers[i] for i in range(n) if word >> i & 1)
+
+
+def greedy_run_generators(word, n, most):
+    """(the first ``most`` greedy generators, their count): 2^r - 1 copies of 2^s
+    for each run of r valuations s..s+r-1 in the word, lowest run first."""
+    gens, count, s = [], 0, 0
+    while s < n:
+        r = 0
+        while s + r < n and word >> (s + r) & 1:
+            r += 1
+        count += (1 << r) - 1
+        gens += [1 << s] * min((1 << r) - 1, most - len(gens))
+        s += r + 1
+    return gens, count
+
+
+def test_layer_words_decide_cube_freeness():
+    # every union of L_1..L_n, n <= 10, and every d <= n + 1: a run bound of
+    # at least d certifies a d-cube; min(|U|, word cap) below d certifies none
+    for n in range(1, 11):
+        ctx = GroupContext(n)
+        for word, umask in layer_word_unions(n):
+            union = ResidueSet(ctx, umask)
+            lower, upper = _run_dimension(word), min(umask.bit_count(), _word_cap(word))
+            for d in range(1, n + 2):
+                if lower >= d:
+                    assert not is_cube_free(union, d), (n, word, d)
+                if upper < d:
+                    assert is_cube_free(union, d), (n, word, d)
+
+
+def test_greedy_run_cube_lies_in_the_union():
+    # the first d greedy generators, d <= min(n, 8), span a cube inside the
+    # union; checked at the largest such d, whose cube holds those of fewer
+    for n in range(1, 15):
+        ctx = GroupContext(n)
+        for word, umask in layer_word_unions(n):
+            gens, count = greedy_run_generators(word, n, min(n, 8))
+            assert count == _run_dimension(word)
+            if gens:
+                assert cube_mask(gens, ctx) & ~umask == 0, (n, word, len(gens))
+
+
+def test_layer_sweeps_need_no_detection(monkeypatch):
+    def detect(A, d):
+        raise AssertionError(f"detection called on a union of Z_{{2^{A.ctx.n}}} at d = {d}")
+
+    monkeypatch.setattr(search, "is_cube_free", detect)
+    for n in range(1, 15):
+        ctx = GroupContext(n)
+        for d in range(1, n + 1):
+            assert max_cube_free_layer_unions(ctx, d).optimum == construction_size(d, ctx)
+
+
+def test_detection_fallback_keeps_the_certificates(monkeypatch):
+    # with a word cap that decides nothing, detection decides every union the
+    # run bound leaves open, the optimum included, but the empty one (d = 1)
+    pairs = [(n, d) for n in range(1, 8) for d in range(1, n + 1)]
+    expected = [max_cube_free_layer_unions(GroupContext(n), d) for n, d in pairs]
+    calls = []
+
+    def detect(A, d):
+        calls.append(d)
+        return is_cube_free(A, d)
+
+    monkeypatch.setattr(search, "_word_cap", lambda word: 1 << 30)
+    monkeypatch.setattr(search, "is_cube_free", detect)
+    for (n, d), cert in zip(pairs, expected):
+        before = len(calls)
+        assert max_cube_free_layer_unions(GroupContext(n), d) == cert
+        assert len(calls) > before or d == 1
 
 
 def test_min_schur_values():
