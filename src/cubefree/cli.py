@@ -2,8 +2,7 @@
 
 Exit codes: 0 for a clean run, 1 when a verification check found a
 counterexample, 2 for usage or capacity errors and for any other failure,
-which prints one ``error: <Type>: <message>`` line.  The environment variable
-CUBEFREE_BUDGET overrides the default search budgets.
+which prints one ``error: <Type>: <message>`` line.
 """
 
 from __future__ import annotations
@@ -51,16 +50,6 @@ class RunReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
-
-
-def _env_budget() -> int | None:
-    raw = os.environ.get("CUBEFREE_BUDGET")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ValueError(f"CUBEFREE_BUDGET must be an integer, got {raw!r}") from exc
 
 
 def _parse_set(spec: str, ctx: GroupContext) -> ResidueSet:
@@ -284,10 +273,7 @@ def run(argv: list[str] | None = None) -> tuple[int, RunReport | None]:
     start = time.perf_counter()
     parameters = {k: v for k, v in vars(args).items() if k != "command"}
     try:
-        budget = _env_budget()
-        if getattr(args, "budget", None) is not None:
-            budget = args.budget
-        result, status = _HANDLERS[args.command](args, budget)
+        result, status = _HANDLERS[args.command](args, getattr(args, "budget", None))
     except CapacityError as exc:
         report = RunReport(args.command, parameters,
                            {"error": str(exc), "space_size": exc.space_size},

@@ -37,9 +37,9 @@ up, so the caps decide most calls for the price of a few mask ANDs.
   sums with the high generators span a cube inside D & 2^(m+1) Z.  Each
   set is halved down to its lowest layer first, so m counts from there,
   and the cap recurses on the word of valuations present.  The first gap
-  is used, and only if m <= GAP_CAP_MAX_M = 3, the largest k at which
-  every x is checked by the default test run; k = 4 is checked too, behind
-  the opt-in slow marker
+  is used, and only if m <= GAP_CAP_MAX_M = 4, the largest k at which
+  every x is checked: k <= 3 by the default test run, k = 4 behind the
+  opt-in slow marker
   (tests/test_detection.py::test_gap_cap_premise and
   test_gap_cap_uses_only_checked_gaps).  Without such a gap the cap is the
   zero-sum cap 2^(top-low+1) - 1, the gap above the top layer: among that
@@ -87,7 +87,7 @@ class CubeWitness:
         return cls(generators, cube)
 
 
-GAP_CAP_MAX_M = 3  # largest gap the layer-gap cap uses: the dichotomy is checked for every x at k <= 3
+GAP_CAP_MAX_M = 4  # largest gap the layer-gap cap uses: the dichotomy is checked for every x at k <= 4
 
 
 def _word_cap(word: int) -> int:

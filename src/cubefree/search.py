@@ -47,11 +47,9 @@ and a sum over several runs takes the valuation of its lowest run; so the
 union holds a cube of dimension the sum of 2^r - 1 over its runs, and holds
 a d-cube if that is at least d.  It is d-cube-free if min(v,
 detection._word_cap(P)), the size and layer-gap caps, is below d.  For
-every d <= n <= 16 the word decides every union the sweep walks.  A union
-it leaves open goes to detection.  If its top layer is L_t, it has the
-same cubes in every Z_{2^m} with m >= t: reduction modulo 2^t maps layers
-onto layers and cubes onto cubes, and lifting the generators back keeps
-the layer of every subset sum.  So it is tested in Z_{2^t}.
+every d <= n <= 21, every group the package admits, the word decides every
+union the sweep walks; a word that decided neither way would raise
+AssertionError.
 
 No external solver is embedded: LP and DIMACS models are emitted as text,
 and a separate validator re-checks solver output against the actual
@@ -392,7 +390,8 @@ def max_cube_free_layer_unions(ctx: GroupContext, d: int,
                                budget: int | None = None) -> SearchCertificate:
     """Largest d-cube-free union of layers; ``explored`` counts the unions tested.
 
-    Raises CapacityError before testing more than ``budget`` unions (None: no limit).
+    Raises CapacityError before testing more than ``budget`` unions (None: no
+    limit), and AssertionError at a union whose word decides neither way.
     """
     if not 1 <= d <= ctx.n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={ctx.n}")
@@ -403,13 +402,9 @@ def max_cube_free_layer_unions(ctx: GroupContext, d: int,
         word = int(f"{v:0{n}b}"[::-1], 2)  # bit i - 1 for L_i, which sits on bit n - i of v
         if _run_dimension(word) >= d:
             continue
-        umask = sum(layers[i] for i in range(n) if word >> i & 1)
         if min(v, _word_cap(word)) >= d:
-            # left open by the word: tested in Z_{2^t} for its top layer L_t,
-            # whose layers are those of Z_{2^n} below 2^t
-            top = GroupContext(word.bit_length())
-            if not is_cube_free(ResidueSet(top, umask & top.full_mask), d):
-                continue
+            raise AssertionError(f"layer word {word:#b} of Z_{{2^{n}}} leaves d = {d} undecided")
+        umask = sum(layers[i] for i in range(n) if word >> i & 1)
         return SearchCertificate("layer_unions", v, ResidueSet(ctx, umask), (1 << n) - v)
     # the empty union, v = 0, is cube-free, so only a budget ends the loop here
     raise CapacityError(f"layer-union sweep exceeded the budget of {budget} unions", 1 << n)

@@ -55,8 +55,7 @@ def test_every_check_is_an_acceptance_criterion():
 @pytest.mark.parametrize("n", [11, 12])
 def test_layer_union_optimum_beyond_desk_scale(n):
     # every sweep 1 <= d <= n of Z_{2^11} and Z_{2^12} (the desk check stops
-    # at n = 10) meets the construction; the layer-gap cap closes each union
-    # at its root (without it the d = 12 sweep of Z_{2^12} runs past 400 s)
+    # at n = 10) meets the construction; each union is read off its layer word
     ctx = GroupContext(n)
     optima = [search.max_cube_free_layer_unions(ctx, d).optimum for d in range(1, n + 1)]
     assert optima == [construction.construction_size(d, ctx) for d in range(1, n + 1)]

@@ -251,15 +251,6 @@ def test_deep_cube_search_exits_two(capsys):
         "the search for a 1000-cube ran out of depth")
 
 
-def test_budget_env_override(monkeypatch):
-    monkeypatch.setenv("CUBEFREE_BUDGET", "10")
-    code, report = run_cli("max-search", "--n", "3", "--d", "3")
-    assert code == 2 and report.status == "budget_exceeded"
-    monkeypatch.setenv("CUBEFREE_BUDGET", "not-a-number")
-    code, report = run_cli("max-search", "--n", "3", "--d", "3")
-    assert code == 2
-
-
 def test_verify_claims_smoke_command(capsys):
     assert cli.main(["verify-claims", "--level", "smoke",
                      "--checks", "construction_table,max_cube_free_d2"]) == 0

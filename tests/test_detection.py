@@ -257,7 +257,8 @@ def test_gap_cap_premise(k):
 
 def test_gap_cap_uses_only_checked_gaps():
     # a gap m >= 1 rests on the dichotomy at k = m (below a gap at m = 0 lie
-    # no generators), so the cap may use no gap that the premise test skips
+    # no generators), so the cap may use no gap that the premise test skips;
+    # k = 4 runs behind the opt-in slow marker, in the CI slow job
     assert set(range(1, detection.GAP_CAP_MAX_M + 1)) <= set(PREMISE_COUNTS)
 
 
@@ -307,7 +308,7 @@ def sparse_layer_sets(draw):
     """(mask, n): a few members in each of some layers of Z_{2^n}, 5 <= n <= 7, with a gap."""
     n = draw(st.integers(5, 7))
     low = draw(st.integers(0, 2))
-    gap = draw(st.integers(low + 1, low + 4))  # the first gap, at m = gap - low <= 4 (4 is not used)
+    gap = draw(st.integers(low + 1, low + 4))  # the first gap, at m = gap - low <= 4
     above = draw(st.sets(st.integers(gap + 1, n - 1), max_size=3)) if gap + 1 < n else set()
     mask = 0
     for v in [*range(low, min(gap, n)), *above]:
@@ -320,6 +321,8 @@ def sparse_layer_sets(draw):
 @settings(max_examples=150, deadline=None)
 @given(sparse_layer_sets())
 @example((1 << 1 | 1 << 3 | 1 << 8 | 1 << 24, 5))  # {1, 3, 8, 24}: a gap at m = 1, L_4 above it
+# 22 members of valuations {0, 1, 2, 3, 5}: a gap at m = 4, capped at 15 + 1
+@example((sum(1 << x for x in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 18, 20, 24, 28, 32, 36, 40, 56, 72, 96)), 7))
 def test_gap_cap_bounds_sparse_layer_sets(case):
     mask, n = case
     cap = _span_cap(mask, n)[0]
@@ -478,7 +481,7 @@ def test_deep_cubes_end_in_capacity_error():
 
 
 def reference_gap_cap(valuations):
-    """2^m - 1 plus the cap of the valuations above the first gap m after the lowest, m <= 3.
+    """2^m - 1 plus the cap of the valuations above the first gap m after the lowest, m <= 4.
 
     Without such a gap: 2^(top - low + 1) - 1, the zero-sum cap.
     """
@@ -494,16 +497,17 @@ def reference_gap_cap(valuations):
 
 
 def test_gap_cap_examples():
-    # no gap, gaps at m = 1 .. 4, and several gaps; |D| stays above the cap
+    # no gap, gaps at m = 1 .. 5, and several gaps; |D| stays above the cap
     assert reference_gap_cap({0, 1, 2}) == 7
     assert reference_gap_cap({1, 3}) == 1 + 1  # halved, a gap at m = 1
     assert reference_gap_cap({0, 2, 3}) == 1 + 3
     assert reference_gap_cap({0, 1, 3}) == 3 + 1
     assert reference_gap_cap({0, 1, 2, 4, 5}) == 7 + 3
-    assert reference_gap_cap({0, 1, 2, 3, 5}) == 63  # a gap at m = 4 is not used
+    assert reference_gap_cap({0, 1, 2, 3, 5}) == 15 + 1  # a gap at m = 4, the largest used
+    assert reference_gap_cap({0, 1, 2, 3, 4, 6}) == 127  # a gap at m = 5 is not used
     assert reference_gap_cap({0, 2, 4, 6}) == 4
     n = 8
-    for valuations in ({0, 2, 3}, {0, 1, 2, 3, 5}, {1, 2, 4, 7}):
+    for valuations in ({0, 2, 3}, {0, 1, 2, 3, 5}, {0, 1, 2, 3, 4, 6}, {1, 2, 4, 7}):
         mask = sum((1 << (u << v)) for v in valuations for u in range(1, 1 << (n - v), 2))
         assert _span_cap(mask, n)[0] == reference_gap_cap(valuations)
 

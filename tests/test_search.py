@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cubefree.construction import construction_size
-from cubefree import search
-from cubefree.detection import _word_cap, is_cube_free, max_cube_dimension
+from cubefree import cli, search
+from cubefree.detection import _word_cap, is_cube_free
 from cubefree.errors import CapacityError
 from cubefree.groups import MAX_N, GroupContext, ResidueSet, _layer_masks, centred_set
 from cubefree.counting import count_schur_triples
@@ -327,17 +327,6 @@ def test_layer_union_sweep_matches_sorted_table():
                                         if n + 1 not in indices)
 
 
-def test_layer_union_cubes_independent_of_n():
-    # the sweep's premise: a union whose top layer is L_t has the same cube
-    # dimension in every Z_{2^n} with n >= t as in Z_{2^t}
-    for indices in [(1,), (1, 3), (2, 3), (1, 2, 4), (2, 4), (1, 2, 3, 4), (3, 5), (1, 4, 5)]:
-        top = max(indices)
-        values = [max_cube_dimension(
-                      ResidueSet(GroupContext(n), sum(_layer_masks(n)[i - 1] for i in indices)), 10)
-                  for n in range(top, top + 3)]
-        assert values == [values[0]] * 3
-
-
 def layer_word_unions(n):
     """(word, mask) of every union of L_1..L_n in Z_{2^n}; bit i - 1 of the word is L_i."""
     layers = _layer_masks(n)
@@ -391,29 +380,21 @@ def test_layer_sweeps_need_no_detection(monkeypatch):
         raise AssertionError(f"detection called on a union of Z_{{2^{A.ctx.n}}} at d = {d}")
 
     monkeypatch.setattr(search, "is_cube_free", detect)
-    for n in range(1, 15):
+    for n in range(1, 17):
         ctx = GroupContext(n)
         for d in range(1, n + 1):
             assert max_cube_free_layer_unions(ctx, d).optimum == construction_size(d, ctx)
 
 
-def test_detection_fallback_keeps_the_certificates(monkeypatch):
-    # with a word cap that decides nothing, detection decides every union the
-    # run bound leaves open, the optimum included, but the empty one (d = 1)
-    pairs = [(n, d) for n in range(1, 8) for d in range(1, n + 1)]
-    expected = [max_cube_free_layer_unions(GroupContext(n), d) for n, d in pairs]
-    calls = []
-
-    def detect(A, d):
-        calls.append(d)
-        return is_cube_free(A, d)
-
+def test_undecided_layer_word_raises(monkeypatch, capsys):
+    # with a word cap that decides nothing cube-free, the first union the run
+    # bound leaves open has no decider left: L_1 alone at d = 2
     monkeypatch.setattr(search, "_word_cap", lambda word: 1 << 30)
-    monkeypatch.setattr(search, "is_cube_free", detect)
-    for (n, d), cert in zip(pairs, expected):
-        before = len(calls)
-        assert max_cube_free_layer_unions(GroupContext(n), d) == cert
-        assert len(calls) > before or d == 1
+    with pytest.raises(AssertionError, match=r"^layer word 0b1 of Z_\{2\^3\} leaves d = 2 undecided$"):
+        max_cube_free_layer_unions(GroupContext(3), 2)
+    assert cli.main(["max-search", "--n", "3", "--d", "2", "--mode", "layers"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: AssertionError: layer word 0b1 of Z_{2^3} leaves d = 2 undecided\n"
 
 
 def test_min_schur_values():
