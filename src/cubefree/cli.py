@@ -22,7 +22,7 @@ from .construction import block_vector, construction_layers, layered_constructio
 from .counting import count_triples_by_layer, layer_profile, schur_lower_bound
 from .detection import find_cube
 from .errors import CapacityError, RangeError
-from .groups import GroupContext, ResidueSet
+from .groups import GroupContext, ResidueSet, layer_set
 from .oracle import verify_zero_sum_dichotomy
 from .search import (
     export_cnf,
@@ -133,14 +133,12 @@ def _cmd_max_search(args, budget) -> tuple[Any, str]:
         cert = (max_cube_free_exact(ctx, args.d, symmetry=args.symmetry, budget=budget)
                 if args.mode == "exact"
                 else max_cube_free_layer_unions(ctx, args.d, budget=budget))
-        result = {
-            "mode": cert.mode,
-            "optimum": cert.optimum,
-            "witness": cert.witness.members(),
-            "explored": cert.explored,
-        }
+        result = {"mode": cert.mode, "optimum": cert.optimum, "explored": cert.explored}
         if args.mode == "exact":
-            result["constraints"] = cert.constraints
+            result.update(witness=cert.witness.members(), constraints=cert.constraints)
+        else:  # the union's layers name it; its members run to 2^(n-1) and more
+            result["layers"] = [i for i in range(1, ctx.n + 1)
+                                if cert.witness.mask & layer_set(i, ctx).mask]
         return result, STATUS_OK
     if args.mode == "lp":
         model = export_lp(ctx, args.d, patterns=args.patterns, budget=budget)

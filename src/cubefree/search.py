@@ -36,20 +36,20 @@ fewest free members: each one taken blocks every constraint that shares a
 free member with it, by clearing inc[y] for each of its free members y, and
 a small one blocks few.
 
-The layer-union search counts v down from 2^n - 1: with L_i on bit n - i,
-the union of the layers L_1..L_n picked by the bits of v has exactly v
-residues, so the first cube-free union is a largest one.  Unions holding
-L_{n+1} = {0} contain every cube and are never tested.  Each union is read
-off its word P, v reversed over n bits: bit i - 1 is set iff L_i, the
-residues of valuation i - 1, is in the union.  For a run of r valuations
-s..s+r-1 present, 2^r - 1 copies of 2^s keep every subset sum in the run,
-and a sum over several runs takes the valuation of its lowest run; so the
-union holds a cube of dimension the sum of 2^r - 1 over its runs, and holds
-a d-cube if that is at least d.  It is d-cube-free if min(v,
-detection._word_cap(P)), the size and layer-gap caps, is below d.  For
-every d <= n <= 21, every group the package admits, the word decides every
-union the sweep walks; a word that decided neither way would raise
-AssertionError.
+The layer-union search reads a union of L_1..L_n off its word P: bit i - 1
+is set iff L_i, the residues of valuation i - 1, is in it; {0} = L_{n+1}
+lies in every cube and is never taken.  A run of r valuations s..s+r-1
+present gives 2^r - 1 copies of 2^s whose subset sums stay in the run, and
+a sum over several runs takes the valuation of its lowest run; so the union
+holds a cube of dimension the sum of 2^r - 1 over its runs.  That run
+dimension only grows as layers are added, so the unions it leaves below d
+are down-closed, and as L_i outweighs all deeper layers together, their
+largest is the one a greedy pass finds, keeping each L_i in turn whose
+union with those kept stays below d: a larger union first differs from it
+at some L_i the pass dropped, so it holds that step's cube.  The union found
+is d-cube-free if min(|U|, detection._word_cap(P)), the size and layer-gap
+caps, is below d; for every d <= n <= 21, the groups the package admits, it
+is, and a word that decided neither way would raise AssertionError.
 
 No external solver is embedded: LP and DIMACS models are emitted as text,
 and a separate validator re-checks solver output against the actual
@@ -388,26 +388,25 @@ def _run_dimension(word: int) -> int:
 
 def max_cube_free_layer_unions(ctx: GroupContext, d: int,
                                budget: int | None = None) -> SearchCertificate:
-    """Largest d-cube-free union of layers; ``explored`` counts the unions tested.
+    """Largest d-cube-free union of layers, by one greedy pass over L_1..L_n.
 
-    Raises CapacityError before testing more than ``budget`` unions (None: no
-    limit), and AssertionError at a union whose word decides neither way.
+    ``explored`` is 2^n - optimum, the unions of L_1..L_n at least as large.
+    Raises CapacityError when that exceeds ``budget`` (None: no limit), and
+    AssertionError when the optimum's word decides neither way.
     """
     if not 1 <= d <= ctx.n:
         raise ValueError(f"need 1 <= d <= n, got d={d}, n={ctx.n}")
-    n = ctx.n
-    layers = _layer_masks(n)
-    lowest = 0 if budget is None else max(0, (1 << n) - budget)
-    for v in range((1 << n) - 1, lowest - 1, -1):
-        word = int(f"{v:0{n}b}"[::-1], 2)  # bit i - 1 for L_i, which sits on bit n - i of v
-        if _run_dimension(word) >= d:
-            continue
-        if min(v, _word_cap(word)) >= d:
-            raise AssertionError(f"layer word {word:#b} of Z_{{2^{n}}} leaves d = {d} undecided")
-        umask = sum(layers[i] for i in range(n) if word >> i & 1)
-        return SearchCertificate("layer_unions", v, ResidueSet(ctx, umask), (1 << n) - v)
-    # the empty union, v = 0, is cube-free, so only a budget ends the loop here
-    raise CapacityError(f"layer-union sweep exceeded the budget of {budget} unions", 1 << n)
+    n, layers = ctx.n, _layer_masks(ctx.n)
+    word = umask = 0
+    for i in range(n):  # L_{i+1} is bit i of the word
+        if _run_dimension(word | 1 << i) < d:
+            word, umask = word | 1 << i, umask | layers[i]
+    v = umask.bit_count()
+    if budget is not None and (1 << n) - v > budget:
+        raise CapacityError(f"layer-union sweep exceeded the budget of {budget} unions", 1 << n)
+    if min(v, _word_cap(word)) >= d:
+        raise AssertionError(f"layer word {word:#b} of Z_{{2^{n}}} leaves d = {d} undecided")
+    return SearchCertificate("layer_unions", v, ResidueSet(ctx, umask), (1 << n) - v)
 
 
 def _odd_scalings(members: Sequence[int], n: int) -> Iterator[int]:
@@ -492,10 +491,7 @@ def export_lp(ctx: GroupContext, d: int, patterns: str = "all",
         members = list(mask_members(c))
         row = " + ".join(f"x{v}" for v in members)
         lines.append(f" cube{idx}: {row} <= {len(members) - 1}")
-    lines.append("Binary")
-    for v in range(size):
-        lines.append(f" x{v}")
-    lines.append("End")
+    lines += ["Binary", *(f" x{v}" for v in range(size)), "End"]
     return "\n".join(lines) + "\n"
 
 
@@ -508,9 +504,7 @@ def export_cnf(ctx: GroupContext, d: int, target: int, patterns: str = "all",
     """
     masks = _pattern_masks(ctx, d, patterns, budget)
     size = ctx.modulus
-    clauses: list[list[int]] = []
-    for c in masks:
-        clauses.append([-(v + 1) for v in mask_members(c)])
+    clauses = [[-(v + 1) for v in mask_members(c)] for c in masks]
     kk = size - target  # allowed exclusions
     num_vars = size
     if target > size:

@@ -166,6 +166,20 @@ def check_multiple_run_threshold(level: str, rng: random.Random) -> CheckResult:
                    f"{checked} dense sets all contain a multiple run")
 
 
+def _construction_failures(d: int, ctx: GroupContext) -> list[str]:
+    """Why the d-construction of ``ctx`` is not d-cube-free and maximal ([] if it is).
+
+    Odd scaling fixes a union of layers and maps x = 2^v u, u odd, onto 2^v,
+    so 0 and 2^(i-1) for each missing layer L_i stand for the complement.
+    """
+    cd = construction.layered_construction(d, ctx)
+    if not detection.is_cube_free(cd, d):
+        return [f"d={d} n={ctx.n}: construction contains a {d}-cube"]
+    return [f"d={d} n={ctx.n}: adding {r} stays {d}-cube-free"
+            for r in (0, *(1 << v for v in range(ctx.n)))
+            if r not in cd and detection.is_cube_free(cd.with_member(r), d)]
+
+
 def check_construction_free_and_maximal(level: str, rng: random.Random) -> CheckResult:
     start = time.perf_counter()
     failures = []
@@ -174,15 +188,8 @@ def check_construction_free_and_maximal(level: str, rng: random.Random) -> Check
     for d in range(1, max_d + 1):
         layers = construction.construction_layers(d)
         for n in range(max(layers, default=1), max_n + 1):
-            ctx = GroupContext(n)
-            cd = construction.layered_construction(d, ctx)
             cases += 1
-            if not detection.is_cube_free(cd, d):
-                failures.append(f"d={d} n={n}: construction contains a {d}-cube")
-                continue
-            for r in cd.complement().members():
-                if detection.is_cube_free(cd.with_member(r), d):
-                    failures.append(f"d={d} n={n}: adding {r} stays {d}-cube-free")
+            failures += _construction_failures(d, GroupContext(n))
     return _result("construction_free_and_maximal", start, failures,
                    f"{cases} (d, n) pairs: cube-free and maximal")
 
@@ -201,7 +208,7 @@ def check_layer_union_optimum(level: str, rng: random.Random) -> CheckResult:
             if cert.optimum != expected:
                 failures.append(f"n={n} d={d}: optimum {cert.optimum} != {expected}")
     return _result("layer_union_optimum", start, failures,
-                   f"{runs} (n, d) sweeps over all layer unions")
+                   f"{runs} (n, d) layer-union optima")
 
 
 def check_min_schur(level: str, rng: random.Random) -> CheckResult:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from cubefree import cli
-from cubefree.construction import layered_construction
+from cubefree.construction import construction_layers, layered_construction
 from cubefree.counting import count_schur_triples
 from cubefree.errors import CapacityError
 from cubefree.groups import GroupContext, ResidueSet, layer_range_set
@@ -161,6 +161,17 @@ def test_max_search_reports_gathered_constraints():
     assert code == 0 and "constraints" not in report.result
 
 
+def test_layers_mode_reports_layers_not_members():
+    # a union of layers is named by its layer indices: at (21, 21) its 2,020,352
+    # members would print as 29 MB of JSON
+    code, report = run_cli("max-search", "--n", "21", "--d", "21", "--mode", "layers")
+    assert code == 0 and "witness" not in report.result
+    assert report.result["layers"] == list(construction_layers(21))
+    assert report.result["optimum"] == len(layered_construction(21, GroupContext(21)))
+    code, report = run_cli("max-search", "--n", "5", "--d", "3", "--mode", "layers")
+    assert report.result["layers"] == [1, 3] and report.result["explored"] == 12
+
+
 def test_validate_reads_dimacs_solver_output(tmp_path):
     sol = tmp_path / "solver.out"
     sol.write_text("s SATISFIABLE\nv 1 -2 3 -4 5 0\n")
@@ -207,7 +218,8 @@ def test_group_exponent_above_cap_exits_two(capsys):
 
 
 def test_layer_sweep_budget_exits_two():
-    # unbudgeted, this sweep walks 6144 unions, read off their layer words in milliseconds
+    # unbudgeted, explored is 2^14 - 10240 = 6144, the unions at least as large
+    # as the optimum, which the budget of 10 does not cover
     code, report = run_cli("max-search", "--n", "14", "--d", "3", "--mode", "layers",
                            "--budget", "10")
     assert code == 2 and report.status == "budget_exceeded"

@@ -375,12 +375,51 @@ def test_greedy_run_cube_lies_in_the_union():
                 assert cube_mask(gens, ctx) & ~umask == 0, (n, word, len(gens))
 
 
+def walk_layer_words(n, d):
+    """(optimum, witness mask, explored) by the descending walk the layer-union
+    search once made: every union of L_1..L_n from v = 2^n - 1 down (L_i on
+    bit n - i of v) to the first one its word leaves below a d-cube."""
+    layers = _layer_masks(n)
+    for v in range((1 << n) - 1, -1, -1):
+        word = int(f"{v:0{n}b}"[::-1], 2)
+        if _run_dimension(word) < d:
+            assert min(v, _word_cap(word)) < d, (n, d, word)
+            return v, sum(layers[i] for i in range(n) if word >> i & 1), (1 << n) - v
+
+
+def test_greedy_layer_pass_matches_descending_walk():
+    for n in range(1, 15):
+        ctx = GroupContext(n)
+        for d in range(1, n + 1):
+            cert = max_cube_free_layer_unions(ctx, d)
+            assert (cert.optimum, cert.witness.mask, cert.explored) == walk_layer_words(n, d)
+
+
+def test_greedy_layer_pass_makes_n_word_tests(monkeypatch):
+    calls = {"_run_dimension": 0, "_word_cap": 0}
+
+    def counted(name):
+        fn = getattr(search, name)
+
+        def wrapper(word):
+            calls[name] += 1
+            return fn(word)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(search, name, counted(name))
+    for n, d in ((21, 2), (21, 21), (16, 9), (1, 1)):
+        calls.update(dict.fromkeys(calls, 0))
+        max_cube_free_layer_unions(GroupContext(n), d)
+        assert calls == {"_run_dimension": n, "_word_cap": 1}, (n, d)
+
+
 def test_layer_sweeps_need_no_detection(monkeypatch):
     def detect(A, d):
         raise AssertionError(f"detection called on a union of Z_{{2^{A.ctx.n}}} at d = {d}")
 
     monkeypatch.setattr(search, "is_cube_free", detect)
-    for n in range(1, 17):
+    for n in range(1, 22):
         ctx = GroupContext(n)
         for d in range(1, n + 1):
             assert max_cube_free_layer_unions(ctx, d).optimum == construction_size(d, ctx)

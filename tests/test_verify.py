@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubefree import detection, oracle, verify
+from cubefree import construction, detection, oracle, verify
 from cubefree.groups import GroupContext, ResidueSet, layer_set
 from cubefree.sumsets import cube_mask
 
@@ -102,3 +102,35 @@ def test_broken_detector_fails_the_enumeration_check(monkeypatch):
     monkeypatch.setattr(detection, "find_cube", lambda A, d: None)
     result = verify.run_checks(level="smoke", names=["detector_vs_enumeration"])[0]
     assert not result.ok and result.failures
+
+
+def test_maximality_representatives_match_complement_walk():
+    # odd scaling fixes a layer union, so adding x = 2^v u, u odd, answers as
+    # adding 2^v does, over the whole desk range d <= 5, n <= 7
+    for d in range(1, 6):
+        for n in range(max(construction.construction_layers(d), default=1), 8):
+            cd = construction.layered_construction(d, GroupContext(n))
+            for r in cd.complement().members():
+                assert detection.is_cube_free(cd.with_member(r), d) == \
+                    detection.is_cube_free(cd.with_member(r & -r), d), (d, n, r)
+
+
+def test_constructions_cube_free_and_maximal_up_to_n_16():
+    for n in range(1, 17):
+        for d in range(1, n + 1):
+            assert verify._construction_failures(d, GroupContext(n)) == [], (n, d)
+
+
+def test_fault_injection_reports_a_missing_layer(monkeypatch):
+    # without its top layer L_t the construction stays cube-free, and adding
+    # 2^(t-1), the representative of L_t, must be reported
+    original = verify.construction.layered_construction
+
+    def thinned(d, ctx):
+        built, layers = original(d, ctx), verify.construction.construction_layers(d)
+        return ResidueSet(ctx, built.mask & ~layer_set(layers[-1], ctx).mask) if layers else built
+
+    monkeypatch.setattr(verify.construction, "layered_construction", thinned)
+    result = verify.run_checks(level="smoke", names=["construction_free_and_maximal"])[0]
+    assert not result.ok
+    assert "d=3 n=3: adding 4 stays 3-cube-free" in result.failures
